@@ -278,12 +278,13 @@ pub struct CostModel {
 
 impl Default for CostModel {
     fn default() -> Self {
-        // Fitted by calibrate_planner on the reference container (single
-        // CPU): the brute kernel's data-major loop is far cheaper per flop
-        // than the LSH strategies' bucket bookkeeping, which is exactly why a
-        // planner is needed — flop counts alone would flip to an index far
-        // too early. Last refit after the probes-aware candidate model
-        // landed (the ALSH flop prediction now includes probed lookups).
+        // Fitted by calibrate_planner on the reference container: the brute
+        // kernel's data-major loop is cheaper per flop than the LSH
+        // strategies' hashing and bucket bookkeeping, which is exactly why a
+        // planner is needed — flop counts alone would flip to an index too
+        // early. The ALSH and symmetric constants were last refit after
+        // packed hyperplane hashing landed (ALSH 3.535 → 0.540, symmetric
+        // 0.848 → 0.747: medians of three runs on a 2-vCPU Xeon VM).
         Self {
             brute_ns_per_flop: 0.415,
             // Reduced-precision brute kernels: the calibrated f64 constant
@@ -293,8 +294,8 @@ impl Default for CostModel {
             // costs track the measured kernel speedups.
             brute_f32_ns_per_flop: 0.272,
             brute_quantized_ns_per_flop: 0.364,
-            alsh_ns_per_flop: 3.535,
-            symmetric_ns_per_flop: 0.848,
+            alsh_ns_per_flop: 0.540,
+            symmetric_ns_per_flop: 0.747,
             sketch_ns_per_flop: 0.290,
         }
     }

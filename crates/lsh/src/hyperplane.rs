@@ -118,6 +118,10 @@ impl HashFunction for HyperplaneFunction {
         }
         Ok(bucket)
     }
+
+    fn hyperplanes(&self) -> Option<&[DenseVector]> {
+        Some(&self.planes)
+    }
 }
 
 impl LshFamily for HyperplaneFamily {

@@ -19,6 +19,7 @@
 //! | SIMPLE-ALSH | [`simple_alsh`] | Neyshabur–Srebro reduction \[39\]; basis of Section 4.1 |
 //! | Multi-probe SimHash | [`multiprobe`] | table-count vs probe-count ablation for the Section 4.1 index |
 //! | Query-directed probing | [`probe`] | compositional multi-probe for the production indexes (PR 10) |
+//! | Packed hyperplane hashing | [`packed`] | one-pass, bit-identical hashing of every table for the two hyperplane families |
 //!
 //! The closed-form ρ exponents compared in **Figure 2** (DATA-DEP, SIMP, MH-ALSH) are
 //! provided by the [`rho`] module; empirical collision probabilities for validation of
@@ -39,6 +40,7 @@ pub mod hyperplane;
 pub mod mhalsh;
 pub mod minhash;
 pub mod multiprobe;
+pub mod packed;
 pub mod probe;
 pub mod rho;
 pub mod sign_alsh;

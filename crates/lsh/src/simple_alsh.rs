@@ -17,13 +17,14 @@
 
 use crate::error::{LshError, Result};
 use crate::hyperplane::{HyperplaneFamily, HyperplaneFunction};
+use crate::packed::SignPlanes;
 use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily, HashFunction, LshFamily};
 use ips_linalg::DenseVector;
 use rand::Rng;
 
 /// The asymmetric ball-to-sphere transform shared by SIMPLE-ALSH and the Section 4.1
 /// construction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SphereTransform {
     dim: usize,
     query_radius: f64,
@@ -187,6 +188,13 @@ impl AsymmetricHashFunction for SimpleAlshFunction {
     fn hash_query(&self, q: &DenseVector) -> Result<u64> {
         let embedded = self.transform.transform_query(q)?;
         self.inner.hash(&embedded)
+    }
+
+    fn sign_planes(&self) -> Option<SignPlanes<'_>> {
+        Some(SignPlanes {
+            transform: Some(&self.transform),
+            planes: self.inner.planes(),
+        })
     }
 }
 

@@ -7,6 +7,12 @@
 //! classical `O(n^ρ)` query time that all the upper-bound discussions in the paper
 //! (Sections 1.1 and 4) refer to.
 //!
+//! For the two hyperplane families (SIMPLE-ALSH and symmetric SimHash) every entry
+//! point — build, insert, remove, lookup and probing — hashes through one
+//! [`PackedHasher`] holding all `L × k` functions' planes, which embeds a vector once
+//! and produces keys bit-identical to hashing table by table (see [`crate::packed`]).
+//! Any other family hashes with each table's function in turn.
+//!
 //! The index is *dynamic*: [`LshIndex::insert`] and [`LshIndex::remove`] maintain the
 //! `L` tables incrementally (hashing the point with each table's stored function), so a
 //! long-lived serving process can mutate an index without rebuilding it; and it is
@@ -16,11 +22,12 @@
 
 use crate::amplify::AndConstruction;
 use crate::error::{LshError, Result};
+use crate::packed::PackedHasher;
 use crate::probe::ProbeSequence;
 use crate::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
 use ips_linalg::DenseVector;
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Parameters of a multi-table index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,6 +62,10 @@ pub struct LshIndex<F: AsymmetricLshFamily> {
     tables: Vec<HashMap<u64, Vec<u32>>>,
     params: IndexParams,
     len: usize,
+    /// Every table's planes packed for one-pass hashing, when the family hashes
+    /// by hyperplane signs (SIMPLE-ALSH and symmetric SimHash); `None` hashes
+    /// function by function.
+    packed: Option<PackedHasher>,
 }
 
 impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
@@ -79,23 +90,33 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
             });
         }
         let composite = AndConstruction::new(family.clone(), params.k)?;
-        let mut functions = Vec::with_capacity(params.l);
-        let mut tables = Vec::with_capacity(params.l);
-        for _ in 0..params.l {
-            let f = composite.sample(rng)?;
-            let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-            for (idx, p) in data.iter().enumerate() {
-                let bucket = f.hash_data(p)?;
-                table.entry(bucket).or_default().push(idx as u32);
+        let functions = (0..params.l)
+            .map(|_| composite.sample(rng))
+            .collect::<Result<Vec<_>>>()?;
+        let packed = PackedHasher::from_functions(&functions)?;
+        let mut tables: Vec<HashMap<u64, Vec<u32>>> = vec![HashMap::new(); params.l];
+        if let Some(hasher) = &packed {
+            // Hash every point into every table first, then fill each table in
+            // ascending id order — the same bucket contents as the loop below.
+            let keys = hasher.hash_data_batch(data)?;
+            for (t, table) in tables.iter_mut().enumerate() {
+                for (idx, row) in keys.chunks_exact(params.l).enumerate() {
+                    table.entry(row[t]).or_default().push(idx as u32);
+                }
             }
-            functions.push(f);
-            tables.push(table);
+        } else {
+            for (f, table) in functions.iter().zip(tables.iter_mut()) {
+                for (idx, p) in data.iter().enumerate() {
+                    table.entry(f.hash_data(p)?).or_default().push(idx as u32);
+                }
+            }
         }
         Ok(Self {
             functions,
             tables,
             params,
             len: data.len(),
+            packed,
         })
     }
 
@@ -117,16 +138,15 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// Returns the (deduplicated) candidate indices colliding with the query in at
     /// least one table, in ascending order.
     pub fn query_candidates(&self, q: &DenseVector) -> Result<Vec<usize>> {
-        let mut seen: HashSet<u32> = HashSet::new();
-        for (f, table) in self.functions.iter().zip(self.tables.iter()) {
-            let bucket = f.hash_query(q)?;
-            if let Some(ids) = table.get(&bucket) {
-                seen.extend(ids.iter().copied());
-            }
-        }
-        let mut out: Vec<usize> = seen.into_iter().map(|i| i as usize).collect();
-        out.sort_unstable();
-        Ok(out)
+        let keys: Vec<u64> = match &self.packed {
+            Some(hasher) => hasher.hash_query(q)?,
+            None => self
+                .functions
+                .iter()
+                .map(|f| f.hash_query(q))
+                .collect::<Result<_>>()?,
+        };
+        Ok(self.collect_candidates(keys.into_iter().map(std::iter::once)))
     }
 
     /// Like [`LshIndex::query_candidates`], but additionally visits up to `probes`
@@ -167,17 +187,34 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
         if probes == 0 {
             return self.query_candidates(q);
         }
-        let mut seen: HashSet<u32> = HashSet::new();
-        for (f, table) in self.functions.iter().zip(self.tables.iter()) {
-            for bucket in f.probe_query(q, probes)? {
-                if let Some(ids) = table.get(&bucket) {
-                    seen.extend(ids.iter().copied());
+        let buckets = match &self.packed {
+            Some(hasher) => hasher.probe_query(q, probes)?,
+            None => self
+                .functions
+                .iter()
+                .map(|f| f.probe_query(q, probes))
+                .collect::<Result<_>>()?,
+        };
+        Ok(self.collect_candidates(buckets))
+    }
+
+    /// The ids stored under table `t`'s buckets `keys[t]`, over all tables, in
+    /// ascending order without repeats (an id collides in many tables).
+    fn collect_candidates<K>(&self, keys: impl IntoIterator<Item = K>) -> Vec<usize>
+    where
+        K: IntoIterator<Item = u64>,
+    {
+        let mut out = Vec::new();
+        for (table, keys) in self.tables.iter().zip(keys) {
+            for key in keys {
+                if let Some(ids) = table.get(&key) {
+                    out.extend(ids.iter().map(|&id| id as usize));
                 }
             }
         }
-        let mut out: Vec<usize> = seen.into_iter().map(|i| i as usize).collect();
         out.sort_unstable();
-        Ok(out)
+        out.dedup();
+        out
     }
 
     /// Total number of stored (bucket, point) entries across all tables — a proxy for
@@ -206,7 +243,9 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     ///
     /// `len` is the number of *distinct* points stored (each point appears once per
     /// table). Returns an error when the function and table counts disagree with each
-    /// other or with `params.l`, or when any table's entry count differs from `len`.
+    /// other or with `params.l`, when any table's entry count differs from `len`, or
+    /// when hyperplane functions disagree on their sphere transform or shape (see
+    /// [`PackedHasher::from_functions`]).
     pub fn from_raw_parts(
         functions: Vec<<AndConstruction<F> as AsymmetricLshFamily>::Function>,
         tables: Vec<HashMap<u64, Vec<u32>>>,
@@ -233,11 +272,13 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
                 });
             }
         }
+        let packed = PackedHasher::from_functions(&functions)?;
         Ok(Self {
             functions,
             tables,
             params,
             len,
+            packed,
         })
     }
 
@@ -249,10 +290,7 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     pub fn insert(&mut self, id: u32, p: &DenseVector) -> Result<()> {
         // Hash against every table before mutating any of them, so a domain or
         // dimension error cannot leave the point half-inserted.
-        let mut buckets = Vec::with_capacity(self.functions.len());
-        for f in &self.functions {
-            buckets.push(f.hash_data(p)?);
-        }
+        let buckets = self.data_keys(p)?;
         for (table, bucket) in self.tables.iter_mut().zip(buckets) {
             table.entry(bucket).or_default().push(id);
         }
@@ -266,10 +304,7 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
     /// Returns `true` when the id was found (in any table) and removed. Buckets left
     /// empty are dropped, so a remove exactly undoes the matching insert.
     pub fn remove(&mut self, id: u32, p: &DenseVector) -> Result<bool> {
-        let mut buckets = Vec::with_capacity(self.functions.len());
-        for f in &self.functions {
-            buckets.push(f.hash_data(p)?);
-        }
+        let buckets = self.data_keys(p)?;
         let mut removed = false;
         for (table, bucket) in self.tables.iter_mut().zip(buckets) {
             if let Some(ids) = table.get_mut(&bucket) {
@@ -286,6 +321,14 @@ impl<F: AsymmetricLshFamily + Clone> LshIndex<F> {
             self.len -= 1;
         }
         Ok(removed)
+    }
+
+    /// The data-side key of `p` in every table, in table order.
+    fn data_keys(&self, p: &DenseVector) -> Result<Vec<u64>> {
+        match &self.packed {
+            Some(hasher) => hasher.hash_data(p),
+            None => self.functions.iter().map(|f| f.hash_data(p)).collect(),
+        }
     }
 }
 

@@ -16,6 +16,7 @@
 //! (see the [`crate::amplify`] module).
 
 use crate::error::Result;
+use crate::packed::SignPlanes;
 use ips_linalg::DenseVector;
 use rand::Rng;
 
@@ -23,6 +24,14 @@ use rand::Rng;
 pub trait HashFunction: Send + Sync {
     /// Hashes a vector to a bucket identifier.
     fn hash(&self, v: &DenseVector) -> Result<u64>;
+
+    /// The hyperplane normals of a sign hash, whose bucket bit `i` is set
+    /// exactly when `planes[i] · v ≥ 0`; `None` (the default) for any other
+    /// function. Lifted by [`SymmetricAsAsymmetric`] into
+    /// [`AsymmetricHashFunction::sign_planes`].
+    fn hyperplanes(&self) -> Option<&[DenseVector]> {
+        None
+    }
 }
 
 /// A symmetric LSH family: a distribution over [`HashFunction`]s.
@@ -45,6 +54,14 @@ pub trait AsymmetricHashFunction: Send + Sync {
 
     /// Hashes a query vector with `h_q`.
     fn hash_query(&self, q: &DenseVector) -> Result<u64>;
+
+    /// The hyperplane view of a sign hash function (see [`SignPlanes`]), which
+    /// lets [`crate::table::LshIndex`] hash all its tables in one packed pass
+    /// ([`crate::packed::PackedHasher`]); `None` (the default) for any other
+    /// function, which is then hashed on its own.
+    fn sign_planes(&self) -> Option<SignPlanes<'_>> {
+        None
+    }
 
     /// Returns `true` when the pair collides, i.e. `h_p(p) = h_q(q)`.
     fn collides(&self, p: &DenseVector, q: &DenseVector) -> Result<bool> {
@@ -80,6 +97,13 @@ impl<H: HashFunction> AsymmetricHashFunction for SymmetricFunctionPair<H> {
 
     fn hash_query(&self, q: &DenseVector) -> Result<u64> {
         self.0.hash(q)
+    }
+
+    fn sign_planes(&self) -> Option<SignPlanes<'_>> {
+        self.0.hyperplanes().map(|planes| SignPlanes {
+            transform: None,
+            planes,
+        })
     }
 }
 
