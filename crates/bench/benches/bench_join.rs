@@ -119,7 +119,7 @@ fn bench_join_engine_scaling(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("serial_loop", |b| {
         // chunk_size 1 forces the per-query `search` path: exactly the loop the
-        // seed's `index_join` ran.
+        // seed's one-query-at-a-time join ran.
         let engine = JoinEngine::with_config(
             &index,
             EngineConfig {

@@ -24,7 +24,7 @@
 
 use ips_bench::{fmt, render_table, JsonReporter, Timer};
 use ips_core::asymmetric::AlshParams;
-use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant};
+use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_core::{Join, Strategy};
 use ips_datagen::adversarial::{sparse_needles, AdversarialScale};
 use rand::rngs::StdRng;
@@ -34,11 +34,18 @@ use rand::SeedableRng;
 const BASELINE_TABLES: usize = 32;
 /// Extra probe buckets per table in the probed run.
 const PROBES: usize = 8;
-/// Interleaved timing trials per configuration; the best is reported, which
-/// filters scheduler noise on a shared box.
+/// Interleaved timing trials per configuration, after one warm-up each; the
+/// best is reported, which filters scheduler noise on a shared box.
 const TRIALS: usize = 3;
 /// The probed run may be at most this much slower than the baseline.
 const MAX_SLOWDOWN: f64 = 1.10;
+
+/// One configuration of the trade: its label, table count and probe count.
+struct Config {
+    label: &'static str,
+    tables: usize,
+    probes: usize,
+}
 
 struct Run {
     label: &'static str,
@@ -50,53 +57,28 @@ struct Run {
     valid: bool,
 }
 
-fn measure(
-    label: &'static str,
+/// One timed end-to-end join (build plus every query) under `config`.
+fn join_once(
+    config: &Config,
     data: &[ips_linalg::DenseVector],
     queries: &[ips_linalg::DenseVector],
     spec: JoinSpec,
-    tables: usize,
-    probes: usize,
     seed: u64,
-) -> Run {
-    let go = || {
-        let timer = Timer::start();
-        let report = Join::data(data)
-            .queries(queries)
-            .spec(spec)
-            .strategy(Strategy::Alsh)
-            .alsh_params(AlshParams {
-                tables,
-                probes,
-                ..AlshParams::default()
-            })
-            .seed(seed)
-            .run()
-            .expect("suite workload joins");
-        (timer.elapsed_ns(), report.matches)
-    };
-    // Warm-up pass, then keep the best timed trial.
-    let (_, matches) = go();
-    let mut wall_ns = u128::MAX;
-    let mut best_matches = matches;
-    for _ in 0..TRIALS {
-        let (ns, matches) = go();
-        if ns < wall_ns {
-            wall_ns = ns;
-            best_matches = matches;
-        }
-    }
-    let (recall, valid) =
-        evaluate_join(data, queries, &spec, &best_matches).expect("evaluation runs");
-    Run {
-        label,
-        tables,
-        probes,
-        wall_ns,
-        matches: best_matches.len(),
-        recall,
-        valid,
-    }
+) -> (u128, Vec<MatchPair>) {
+    let timer = Timer::start();
+    let report = Join::data(data)
+        .queries(queries)
+        .spec(spec)
+        .strategy(Strategy::Alsh)
+        .alsh_params(AlshParams {
+            tables: config.tables,
+            probes: config.probes,
+            ..AlshParams::default()
+        })
+        .seed(seed)
+        .run()
+        .expect("suite workload joins");
+    (timer.elapsed_ns(), report.matches)
 }
 
 fn main() {
@@ -129,30 +111,59 @@ fn main() {
         scale.n, scale.m, scale.dim
     );
 
-    // Interleave the trials so drift (thermal, cache, a noisy neighbour)
-    // hits both configurations alike: each `measure` call already runs its
-    // own warm-up plus TRIALS timed passes back to back, and the two calls
-    // are adjacent in time.
-    let baseline = measure(
-        "classical",
-        &w.data,
-        &w.queries,
-        spec,
-        BASELINE_TABLES,
-        0,
-        seed ^ 0x517,
-    );
-    let probed = measure(
-        "probed",
-        &w.data,
-        &w.queries,
-        spec,
-        BASELINE_TABLES / 2,
-        PROBES,
-        seed ^ 0x517,
-    );
+    let configs = [
+        Config {
+            label: "classical",
+            tables: BASELINE_TABLES,
+            probes: 0,
+        },
+        Config {
+            label: "probed",
+            tables: BASELINE_TABLES / 2,
+            probes: PROBES,
+        },
+    ];
+    let join_seed = seed ^ 0x517;
+    // Warm both configurations up, then interleave their timed passes —
+    // classical, probed, classical, … — so drift (thermal, cache, a noisy
+    // neighbour) hits both alike. Each keeps its best pass.
+    let mut best: Vec<(u128, Vec<MatchPair>)> = configs
+        .iter()
+        .map(|c| {
+            (
+                u128::MAX,
+                join_once(c, &w.data, &w.queries, spec, join_seed).1,
+            )
+        })
+        .collect();
+    for _ in 0..TRIALS {
+        for (config, best) in configs.iter().zip(best.iter_mut()) {
+            let (ns, matches) = join_once(config, &w.data, &w.queries, spec, join_seed);
+            if ns < best.0 {
+                *best = (ns, matches);
+            }
+        }
+    }
+    let runs: Vec<Run> = configs
+        .iter()
+        .zip(best)
+        .map(|(config, (wall_ns, matches))| {
+            let (recall, valid) =
+                evaluate_join(&w.data, &w.queries, &spec, &matches).expect("evaluation runs");
+            Run {
+                label: config.label,
+                tables: config.tables,
+                probes: config.probes,
+                wall_ns,
+                matches: matches.len(),
+                recall,
+                valid,
+            }
+        })
+        .collect();
+    let (baseline, probed) = (&runs[0], &runs[1]);
 
-    let rows: Vec<Vec<String>> = [&baseline, &probed]
+    let rows: Vec<Vec<String>> = [baseline, probed]
         .iter()
         .map(|r| {
             vec![
@@ -174,7 +185,7 @@ fn main() {
         )
     );
 
-    for r in [&baseline, &probed] {
+    for r in [baseline, probed] {
         reporter.record(
             "multiprobe_tradeoff",
             &[

@@ -7,7 +7,8 @@
 //! The binary builds a 10k-point ALSH workload once, snapshots it, then measures
 //!
 //! 1. **serve** — load the snapshot once and answer a query batch through
-//!    [`ips_store::ServingIndex::query`] (the `ips serve` path), amortising the load;
+//!    [`ips_store::ShardedServingIndex::query`] at one shard (the `ips serve`
+//!    path), amortising the load;
 //! 2. **rebuild-per-query** — build a fresh [`AlshMipsIndex`] for every single query
 //!    (the pre-`ips-store` workflow), extrapolated from a few queries because it is
 //!    as slow as it sounds.
@@ -16,9 +17,9 @@
 //! ratio here is orders of magnitude beyond that, and the snapshot load itself is
 //! reported separately so the break-even point (a handful of queries) can be read off.
 //!
-//! A third mode compares **sharded vs unsharded serving**: the same workload behind a
+//! A third mode compares **four shards against one**: the same workload behind a
 //! 4-shard [`ips_store::ShardedServingIndex`] (hash-of-id partitions, per-shard read
-//! locks, exact merge) against the single [`ips_store::ServingIndex`]. The answers are
+//! locks, exact merge) against the one-shard index of mode 1. The answers are
 //! asserted bit-identical (ALSH decomposes under the shared structure seed); the
 //! wall-clock columns show what the merge layer costs — on a single-CPU container the
 //! sharded path pays a small merge overhead, and on multicore hardware the per-shard
@@ -142,12 +143,12 @@ fn main() {
 
     // Build once and snapshot — the `ips build` step, via the fluent facade.
     let build_timer = Timer::start();
-    let mut built = Index::build(inst.data().to_vec())
+    let built = Index::build(inst.data().to_vec())
         .spec(spec)
         .strategy(ips_core::facade::Strategy::Alsh)
         .alsh_params(params)
         .seed(serving_config.seed)
-        .serve()
+        .serve_sharded()
         .expect("build");
     let build_ns = build_timer.elapsed_ns();
     let dir = std::env::temp_dir().join("ips-serve-throughput");
@@ -159,7 +160,7 @@ fn main() {
     let load_timer = Timer::start();
     let serving = Index::open(&snapshot_path)
         .seed(serving_config.seed)
-        .serve()
+        .serve_sharded()
         .expect("open snapshot");
     let load_ns = load_timer.elapsed_ns();
     let query_timer = Timer::start();
@@ -228,7 +229,7 @@ fn main() {
         )
     );
 
-    // Mode 3: sharded vs unsharded serving over the same data and seed.
+    // Mode 3: four shards vs one over the same data and seed.
     let shards = 4;
     let sharded_build_timer = Timer::start();
     let sharded = Index::build(inst.data().to_vec())
@@ -246,10 +247,10 @@ fn main() {
     let sharded_per_query_ns = sharded_batch_ns / query_count as u128;
     assert_eq!(
         sharded_pairs, pairs,
-        "sharded ALSH must answer bit-identically to unsharded under one seed"
+        "sharded ALSH must answer bit-identically to one shard under one seed"
     );
     println!(
-        "\n== sharded vs unsharded serving ({shards} shards, shard sizes {:?}) ==\n",
+        "\n== sharded vs one-shard serving ({shards} shards, shard sizes {:?}) ==\n",
         sharded.shard_lens()
     );
     println!(
@@ -258,7 +259,7 @@ fn main() {
             &["path", "build ms", "ns / query", "queries / s"],
             &[
                 vec![
-                    "unsharded serve".to_string(),
+                    "one-shard serve".to_string(),
                     fmt(build_ns as f64 / 1e6, 1),
                     serve_per_query_ns.to_string(),
                     fmt(serve_qps, 0),
@@ -273,7 +274,7 @@ fn main() {
         )
     );
     println!(
-        "sharded answers verified bit-identical to unsharded ({} pairs); relative cost {}x",
+        "sharded answers verified bit-identical to one shard ({} pairs); relative cost {}x",
         sharded_pairs.len(),
         fmt(
             sharded_per_query_ns as f64 / serve_per_query_ns.max(1) as f64,

@@ -582,7 +582,9 @@ mod tests {
         assert!(out.contains("inserted 2"));
         assert!(out.contains("saved "), "{out}");
         // A one-shard session writes the classic single-shard format.
-        let reloaded = ips_store::ServingIndex::open(&path, ServingConfig::default()).unwrap();
+        let plain = ips_store::Snapshot::load(&path).unwrap();
+        assert_eq!(plain.ids, vec![0, 1, 2]);
+        let reloaded = ShardedServingIndex::open(&path, ServingConfig::default()).unwrap();
         assert_eq!(reloaded.len(), 3);
         assert_eq!(reloaded.ids(), vec![0, 1, 2]);
         std::fs::remove_file(&path).unwrap();

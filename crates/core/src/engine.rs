@@ -178,25 +178,6 @@ impl<I: MipsIndex> JoinEngine<I> {
         })
     }
 
-    /// [`JoinEngine::run`] with the pass timed into `sink`: records the
-    /// engine wall time as [`ips_obs::Stage::Engine`] and the batch width as
-    /// [`ips_obs::Observable::BatchSize`]. The answer is exactly `run`'s —
-    /// the sink only observes.
-    pub fn run_with_sink(
-        &self,
-        queries: &[DenseVector],
-        sink: &dyn ips_obs::TraceSink,
-    ) -> Result<Vec<MatchPair>>
-    where
-        I: Sync,
-    {
-        let start = std::time::Instant::now();
-        let out = self.run(queries);
-        sink.stage_ns(ips_obs::Stage::Engine, start.elapsed().as_nanos() as u64);
-        sink.observe(ips_obs::Observable::BatchSize, queries.len() as u64);
-        out
-    }
-
     /// Runs a batched top-`k` join through the same chunked, work-stealing driver as
     /// [`JoinEngine::run`]: up to `k` pairs per query, each clearing the relaxed
     /// threshold `cs`, best first within a query, queries in order.
@@ -221,24 +202,6 @@ impl<I: MipsIndex> JoinEngine<I> {
             }
             Ok(local)
         })
-    }
-
-    /// [`JoinEngine::run_top_k`] with the pass timed into `sink`, mirroring
-    /// [`JoinEngine::run_with_sink`].
-    pub fn run_top_k_with_sink(
-        &self,
-        queries: &[DenseVector],
-        k: usize,
-        sink: &dyn ips_obs::TraceSink,
-    ) -> Result<Vec<MatchPair>>
-    where
-        I: TopKMipsIndex + Sync,
-    {
-        let start = std::time::Instant::now();
-        let out = self.run_top_k(queries, k);
-        sink.stage_ns(ips_obs::Stage::Engine, start.elapsed().as_nanos() as u64);
-        sink.observe(ips_obs::Observable::BatchSize, queries.len() as u64);
-        out
     }
 
     /// The shared chunked driver: splits `queries` into chunks, has workers claim

@@ -1,9 +1,9 @@
 //! The fluent join facade: one typed entry point over every join strategy.
 //!
-//! The workspace grew four join families (brute force, the Section 4.1 ALSH
+//! The workspace has four join families (brute force, the Section 4.1 ALSH
 //! index, the Section 4.2 symmetric LSH, the Section 4.3 sketch structure) plus
-//! the cost-based planner, and with them nine positional free functions. This
-//! module is the single surface that replaces them for callers: build a
+//! the cost-based planner. This module is the single surface over all of them
+//! for callers: build a
 //! [`JoinBuilder`] with [`Join::data`], describe the workload and the `(cs, s)`
 //! contract with fluent setters, and [`JoinBuilder::run`] it:
 //!
@@ -35,21 +35,18 @@
 //! # Determinism contract
 //!
 //! [`JoinBuilder::run`] seeds a [`rand::rngs::StdRng`] from [`JoinBuilder::seed`]
-//! and dispatches through exactly the same engine-backed entry points the legacy
-//! free functions use ([`crate::join::alsh_engine`] and friends), so its output
-//! is **bit-identical** to the legacy call with the same parameters and a
-//! same-seeded RNG — the property `tests/tests/proptest_facade.rs` pins for all
-//! four fixed strategies and [`Strategy::Auto`]. Callers that thread their own
-//! RNG (the legacy shims themselves do) use [`JoinBuilder::run_with_rng`].
-//!
-//! The legacy free functions (`alsh_join`, `sketch_join`, `auto_join`, …) still
-//! exist as thin shims over this builder; see `MIGRATION.md` at the repository
-//! root for the mapping.
+//! and dispatches a fixed strategy through the same engine constructors
+//! ([`crate::join::alsh_engine`] and friends) that [`crate::planner::JoinPlan::execute`]
+//! uses, so [`Strategy::Auto`] is bit-identical to the fixed strategy it chose, and
+//! every run is bit-identical to the matching constructor driven by a same-seeded
+//! RNG — the properties `tests/tests/proptest_facade.rs` and
+//! `tests/tests/proptest_planner.rs` pin. Callers that thread their own RNG use
+//! [`JoinBuilder::run_with_rng`].
 
 use crate::asymmetric::AlshParams;
-use crate::brute::BorrowedBruteIndex;
-use crate::engine::{EngineConfig, JoinEngine};
+use crate::engine::EngineConfig;
 use crate::error::{CoreError, Result};
+use crate::join::Dispatch;
 use crate::kernel::{Dtype, ScoringOptions};
 use crate::planner::{self, CostModel, JoinPlan, JoinPlanner, PlannerConfig, WorkloadStats};
 use crate::problem::{JoinSpec, JoinVariant, MatchPair};
@@ -98,6 +95,18 @@ impl Strategy {
             Strategy::Alsh => "alsh",
             Strategy::Symmetric => "symmetric",
             Strategy::Sketch => "sketch",
+        }
+    }
+
+    /// The planner's concrete strategy for a fixed selection; `None` for
+    /// [`Strategy::Auto`], which the planner resolves.
+    fn concrete(self) -> Option<planner::Strategy> {
+        match self {
+            Strategy::Auto => None,
+            Strategy::Brute => Some(planner::Strategy::BruteForce),
+            Strategy::Alsh => Some(planner::Strategy::Alsh),
+            Strategy::Symmetric => Some(planner::Strategy::Symmetric),
+            Strategy::Sketch => Some(planner::Strategy::Sketch),
         }
     }
 }
@@ -153,7 +162,7 @@ pub struct JoinReport {
     pub plan: Option<JoinPlan>,
     /// The sampled workload statistics the plan was based on, present only
     /// under [`Strategy::Auto`] (manual strategies never sample the workload —
-    /// that keeps them bit-identical to the legacy entry points).
+    /// that keeps them bit-identical to their engine constructors).
     pub stats: Option<WorkloadStats>,
     /// End-to-end wall-clock nanoseconds of the dispatch (planning included
     /// under [`Strategy::Auto`]).
@@ -294,7 +303,7 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Worker threads of the [`JoinEngine`] (`0` = one per available CPU,
+    /// Worker threads of the [`crate::JoinEngine`] (`0` = one per available CPU,
     /// the default).
     pub fn threads(mut self, threads: usize) -> Self {
         self.engine.threads = threads;
@@ -375,14 +384,14 @@ impl<'a> JoinBuilder<'a> {
         self.run_with_rng(&mut rng)
     }
 
-    /// Runs the join drawing randomness from the caller's RNG — the
-    /// entry point the legacy free functions shim through, and the one to use
-    /// when bit-identical replay against such a function matters.
+    /// Runs the join drawing randomness from the caller's RNG — the one to
+    /// use when bit-identical replay against an engine constructor driven by
+    /// the same RNG matters.
     pub fn run_with_rng<R: Rng + ?Sized>(self, rng: &mut R) -> Result<JoinReport> {
         let spec = self.build_spec()?;
         let start = std::time::Instant::now();
-        let (matches, strategy, plan) = match self.strategy {
-            Strategy::Auto => {
+        let (matches, strategy, plan) = match self.strategy.concrete() {
+            None => {
                 let mut config = PlannerConfig::with_params(
                     self.alsh,
                     self.symmetric,
@@ -399,56 +408,19 @@ impl<'a> JoinBuilder<'a> {
                 let matches = plan.execute(rng, self.data, self.queries)?;
                 (matches, plan.choice, Some(plan))
             }
-            Strategy::Brute => {
-                let engine = JoinEngine::with_config(
-                    BorrowedBruteIndex::with_options(self.data, spec, self.scoring)?,
-                    self.engine,
-                );
-                (
-                    engine.run(self.queries)?,
-                    planner::Strategy::BruteForce,
-                    None,
-                )
+            Some(strategy) => {
+                let dispatch = Dispatch {
+                    strategy,
+                    spec,
+                    alsh: self.alsh,
+                    symmetric: self.symmetric,
+                    sketch: self.sketch,
+                    sketch_leaf_size: self.sketch_leaf_size,
+                    engine: self.engine,
+                    scoring: self.scoring,
+                };
+                (dispatch.run(rng, self.data, self.queries)?, strategy, None)
             }
-            Strategy::Alsh => (
-                crate::join::alsh_engine_scored(
-                    rng,
-                    self.data,
-                    spec,
-                    self.alsh,
-                    self.engine,
-                    self.scoring,
-                )?
-                .run(self.queries)?,
-                planner::Strategy::Alsh,
-                None,
-            ),
-            Strategy::Symmetric => (
-                crate::join::symmetric_engine_scored(
-                    rng,
-                    self.data,
-                    spec,
-                    self.symmetric,
-                    self.engine,
-                    self.scoring,
-                )?
-                .run(self.queries)?,
-                planner::Strategy::Symmetric,
-                None,
-            ),
-            Strategy::Sketch => (
-                crate::join::sketch_engine(
-                    rng,
-                    self.data,
-                    spec,
-                    self.sketch,
-                    self.sketch_leaf_size,
-                    self.engine,
-                )?
-                .run(self.queries)?,
-                planner::Strategy::Sketch,
-                None,
-            ),
         };
         let wall_ns = start.elapsed().as_nanos();
         let stats = plan.as_ref().map(|p| p.stats.clone());

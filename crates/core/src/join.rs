@@ -1,177 +1,81 @@
-//! Approximate `(cs, s)` joins assembled from the search structures.
+//! The join layer: one engine constructor per Section 4 data structure.
 //!
 //! A join is "build an index over `P`, query it with every `q ∈ Q`" (the reduction the
 //! paper uses throughout: a subquadratic-query index immediately gives a subquadratic
-//! join). Three joins are provided, one per Section 4 data structure:
+//! join). Each constructor here builds one of the paper's indexes over the data and
+//! wraps it in a [`JoinEngine`] — the unified parallel, chunk-batched driver:
 //!
-//! * [`alsh_join`] — the Section 4.1 asymmetric-LSH index ([`AlshMipsIndex`]);
-//! * [`symmetric_join`] — the Section 4.2 symmetric LSH ([`SymmetricLshMips`]);
-//! * [`sketch_join`] — the Section 4.3 linear-sketch structure
-//!   ([`crate::mips::SketchMipsAdapter`] over `ips-sketch`);
+//! * [`alsh_engine`] — the Section 4.1 asymmetric-LSH index ([`AlshMipsIndex`]);
+//! * [`symmetric_engine`] — the Section 4.2 symmetric LSH ([`SymmetricLshMips`]);
+//! * [`sketch_engine`] — the Section 4.3 linear-sketch structure
+//!   ([`SketchMipsAdapter`] over `ips-sketch`).
 //!
-//! plus [`index_join`], the generic driver that works with any [`MipsIndex`]. All four
-//! entry points build (or borrow) an index and hand the query set to
-//! [`JoinEngine::run`] — the unified parallel, chunk-batched driver — so they share one
-//! scheduling, batching and result-assembly path. Every reported pair carries its exact
-//! inner product, and the engine never reports a pair below `cs`, so the outputs
-//! satisfy the validity half of Definition 1 by construction; recall is what the
-//! experiments measure.
-//!
-//! Each `*_join` function has an `*_engine` sibling returning the configured
-//! [`JoinEngine`] instead of running it, for callers that want to reuse the index
-//! across query batches or pick a custom [`EngineConfig`]. Callers that do not
-//! want to pick a strategy at all should use [`crate::planner::auto_join`], which
-//! estimates each strategy's cost on the workload and dispatches the winner
-//! through these same entry points.
-//!
-//! **These free functions are the legacy surface.** New code should prefer the
-//! fluent [`crate::facade::JoinBuilder`] (`Join::data(d).queries(q)…run()`),
-//! which unifies all of them behind one typed entry point; every `*_join`
-//! function here is now a thin shim over that builder and remains
-//! bit-identical to its pre-facade behaviour (see `MIGRATION.md`).
+//! Use them directly to reuse a built index across query batches or to pick a custom
+//! [`EngineConfig`]; a prebuilt [`crate::mips::MipsIndex`] joins through
+//! `JoinEngine::new(&index).run(queries)`. A one-shot join is spelled with the fluent
+//! [`crate::facade::JoinBuilder`] (`Join::data(d).queries(q)…run()`). Its fixed
+//! strategies and the planner's [`crate::planner::JoinPlan::execute`] share one
+//! dispatch over these constructors, so a planned join is bit-identical to the manual
+//! join of the strategy it chose, given the same parameters and RNG state.
 //!
 //! # Contract
 //!
-//! Every entry point honours the validity half of Definition 1 by construction —
+//! Every join honours the validity half of Definition 1 by construction —
 //! no reported pair falls below `cs` — and only ever *misses* promised queries;
 //! see the [`JoinSpec`](crate::problem::JoinSpec#validity-contract) rustdoc for
 //! the full contract. Engine semantics note: an **empty query set** joins to an
-//! empty result across all entry points (the seed's sketch path used to reject
+//! empty result for every strategy (the seed's sketch path used to reject
 //! it; the engine unified the behaviour). An empty *data* set still fails at
 //! index construction or on the first search, as before.
 
 use crate::asymmetric::{AlshMipsIndex, AlshParams};
+use crate::brute::BorrowedBruteIndex;
 use crate::engine::{EngineConfig, JoinEngine};
 use crate::error::Result;
-use crate::facade::{Join, Strategy};
-use crate::mips::{MipsIndex, SketchMipsAdapter};
+use crate::kernel::ScoringOptions;
+use crate::mips::SketchMipsAdapter;
+use crate::planner::Strategy;
 use crate::problem::{JoinSpec, MatchPair};
 use crate::symmetric::{SymmetricLshMips, SymmetricParams};
 use ips_linalg::DenseVector;
 use ips_sketch::linf_mips::MaxIpConfig;
 use rand::Rng;
 
-/// Runs a `(cs, s)` join through an already-built [`MipsIndex`].
-///
-/// Legacy shim: equivalent to `JoinEngine::new(index).run(queries)`, which is
-/// also the execution core every [`crate::facade::JoinBuilder`] run ends in.
-pub fn index_join<I: MipsIndex + Sync>(
-    index: &I,
-    queries: &[DenseVector],
-) -> Result<Vec<MatchPair>> {
-    JoinEngine::new(index).run(queries)
-}
-
 /// Builds the Section 4.1 asymmetric-LSH index over `data` and wraps it in an engine.
+/// `scoring` selects the candidate-scoring kernel: `quantized=true` scores in `i8`
+/// and rescores survivors exactly (identical results — see [`crate::kernel`]); the
+/// default options keep the exact `f64` path.
 pub fn alsh_engine<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[DenseVector],
     spec: JoinSpec,
     params: AlshParams,
     config: EngineConfig,
-) -> Result<JoinEngine<AlshMipsIndex>> {
-    alsh_engine_scored(
-        rng,
-        data,
-        spec,
-        params,
-        config,
-        crate::kernel::ScoringOptions::default(),
-    )
-}
-
-/// [`alsh_engine`] with a scoring-kernel selection: `quantized=true` enables
-/// the cheap candidate-scoring kernel (identical results — see
-/// [`crate::kernel`]). The default options are exactly [`alsh_engine`].
-pub fn alsh_engine_scored<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[DenseVector],
-    spec: JoinSpec,
-    params: AlshParams,
-    config: EngineConfig,
-    scoring: crate::kernel::ScoringOptions,
+    scoring: ScoringOptions,
 ) -> Result<JoinEngine<AlshMipsIndex>> {
     let mut index = AlshMipsIndex::build(rng, data.to_vec(), spec, params)?;
     index.set_scoring(scoring)?;
     Ok(JoinEngine::with_config(index, config))
 }
 
-/// The Section 4.1 join: builds an [`AlshMipsIndex`] over `data` and queries it with
-/// every element of `queries`.
-///
-/// Legacy shim over [`crate::facade::JoinBuilder`] (bit-identical given the
-/// same RNG state; proptested in `tests/tests/proptest_facade.rs`).
-pub fn alsh_join<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[DenseVector],
-    queries: &[DenseVector],
-    spec: JoinSpec,
-    params: AlshParams,
-) -> Result<Vec<MatchPair>> {
-    Ok(Join::data(data)
-        .queries(queries)
-        .spec(spec)
-        .strategy(Strategy::Alsh)
-        .alsh_params(params)
-        .run_with_rng(rng)?
-        .matches)
-}
-
-/// Builds the Section 4.2 symmetric-LSH index over `data` and wraps it in an engine.
+/// Builds the Section 4.2 symmetric-LSH index over `data` and wraps it in an engine,
+/// with the same `scoring` selection as [`alsh_engine`].
 pub fn symmetric_engine<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[DenseVector],
     spec: JoinSpec,
     params: SymmetricParams,
     config: EngineConfig,
-) -> Result<JoinEngine<SymmetricLshMips>> {
-    symmetric_engine_scored(
-        rng,
-        data,
-        spec,
-        params,
-        config,
-        crate::kernel::ScoringOptions::default(),
-    )
-}
-
-/// [`symmetric_engine`] with a scoring-kernel selection: `quantized=true`
-/// enables the cheap candidate-scoring kernel (identical results — see
-/// [`crate::kernel`]). The default options are exactly [`symmetric_engine`].
-pub fn symmetric_engine_scored<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[DenseVector],
-    spec: JoinSpec,
-    params: SymmetricParams,
-    config: EngineConfig,
-    scoring: crate::kernel::ScoringOptions,
+    scoring: ScoringOptions,
 ) -> Result<JoinEngine<SymmetricLshMips>> {
     let mut index = SymmetricLshMips::build(rng, data.to_vec(), spec, params)?;
     index.set_scoring(scoring)?;
     Ok(JoinEngine::with_config(index, config))
 }
 
-/// The Section 4.2 join: symmetric LSH over a shared unit-ball domain.
-///
-/// Legacy shim over [`crate::facade::JoinBuilder`] (bit-identical given the
-/// same RNG state; proptested in `tests/tests/proptest_facade.rs`).
-pub fn symmetric_join<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[DenseVector],
-    queries: &[DenseVector],
-    spec: JoinSpec,
-    params: SymmetricParams,
-) -> Result<Vec<MatchPair>> {
-    Ok(Join::data(data)
-        .queries(queries)
-        .spec(spec)
-        .strategy(Strategy::Symmetric)
-        .symmetric_params(params)
-        .run_with_rng(rng)?
-        .matches)
-}
-
 /// Builds the Section 4.3 sketch structure over `data` and wraps it in an engine.
+/// The spec's variant is ignored — the sketch structure is inherently unsigned (it
+/// estimates `‖Aq‖_∞`).
 pub fn sketch_engine<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[DenseVector],
@@ -184,28 +88,59 @@ pub fn sketch_engine<R: Rng + ?Sized>(
     Ok(JoinEngine::with_config(index, engine_config))
 }
 
-/// The Section 4.3 join: the unsigned `(cs, s)` join computed through the linear-sketch
-/// MIPS structure of `ips-sketch`. The spec's variant is ignored — the sketch structure
-/// is inherently unsigned (it estimates `‖Aq‖_∞`).
-///
-/// Legacy shim over [`crate::facade::JoinBuilder`] (bit-identical given the
-/// same RNG state; proptested in `tests/tests/proptest_facade.rs`).
-pub fn sketch_join<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[DenseVector],
-    queries: &[DenseVector],
-    spec: JoinSpec,
-    config: MaxIpConfig,
-    leaf_size: usize,
-) -> Result<Vec<MatchPair>> {
-    Ok(Join::data(data)
-        .queries(queries)
-        .spec(spec)
-        .strategy(Strategy::Sketch)
-        .sketch_config(config)
-        .sketch_leaf_size(leaf_size)
-        .run_with_rng(rng)?
-        .matches)
+/// One concrete strategy with every parameter it runs with: the single dispatch
+/// behind both the facade's fixed strategies and [`crate::planner::JoinPlan::execute`].
+pub(crate) struct Dispatch {
+    pub(crate) strategy: Strategy,
+    pub(crate) spec: JoinSpec,
+    pub(crate) alsh: AlshParams,
+    pub(crate) symmetric: SymmetricParams,
+    pub(crate) sketch: MaxIpConfig,
+    pub(crate) sketch_leaf_size: usize,
+    pub(crate) engine: EngineConfig,
+    pub(crate) scoring: ScoringOptions,
+}
+
+impl Dispatch {
+    /// Builds the strategy's index over `data` and joins `queries` against it. The
+    /// index constructors draw from `rng` (brute force draws nothing), so the same
+    /// RNG state gives bit-identical pairs.
+    pub(crate) fn run<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        data: &[DenseVector],
+        queries: &[DenseVector],
+    ) -> Result<Vec<MatchPair>> {
+        match self.strategy {
+            Strategy::BruteForce => JoinEngine::with_config(
+                BorrowedBruteIndex::with_options(data, self.spec, self.scoring)?,
+                self.engine,
+            )
+            .run(queries),
+            Strategy::Alsh => {
+                alsh_engine(rng, data, self.spec, self.alsh, self.engine, self.scoring)?
+                    .run(queries)
+            }
+            Strategy::Symmetric => symmetric_engine(
+                rng,
+                data,
+                self.spec,
+                self.symmetric,
+                self.engine,
+                self.scoring,
+            )?
+            .run(queries),
+            Strategy::Sketch => sketch_engine(
+                rng,
+                data,
+                self.spec,
+                self.sketch,
+                self.sketch_leaf_size,
+                self.engine,
+            )?
+            .run(queries),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +154,38 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0x10B5)
+    }
+
+    fn run_alsh(
+        rng: &mut StdRng,
+        data: &[DenseVector],
+        queries: &[DenseVector],
+        spec: JoinSpec,
+    ) -> Vec<MatchPair> {
+        alsh_engine(
+            rng,
+            data,
+            spec,
+            AlshParams::default(),
+            EngineConfig::default(),
+            ScoringOptions::default(),
+        )
+        .unwrap()
+        .run(queries)
+        .unwrap()
+    }
+
+    fn run_sketch(
+        rng: &mut StdRng,
+        data: &[DenseVector],
+        queries: &[DenseVector],
+        spec: JoinSpec,
+        config: MaxIpConfig,
+    ) -> Vec<MatchPair> {
+        sketch_engine(rng, data, spec, config, 8, EngineConfig::default())
+            .unwrap()
+            .run(queries)
+            .unwrap()
     }
 
     fn planted(rng: &mut StdRng) -> PlantedInstance {
@@ -241,14 +208,7 @@ mod tests {
         let mut r = rng();
         let inst = planted(&mut r);
         let spec = JoinSpec::new(0.8, 0.6, JoinVariant::Signed).unwrap();
-        let pairs = alsh_join(
-            &mut r,
-            inst.data(),
-            inst.queries(),
-            spec,
-            AlshParams::default(),
-        )
-        .unwrap();
+        let pairs = run_alsh(&mut r, inst.data(), inst.queries(), spec);
         let reported: Vec<(usize, usize)> = pairs
             .iter()
             .map(|p| (p.data_index, p.query_index))
@@ -269,7 +229,7 @@ mod tests {
             copies: 11,
             rows: None,
         };
-        let pairs = sketch_join(&mut r, inst.data(), inst.queries(), spec, config, 8).unwrap();
+        let pairs = run_sketch(&mut r, inst.data(), inst.queries(), spec, config);
         let reported: Vec<(usize, usize)> = pairs
             .iter()
             .map(|p| (p.data_index, p.query_index))
@@ -295,14 +255,7 @@ mod tests {
         // The approximate joins may only report queries among those (no false answers
         // above cs exist for other queries in this instance because the background is
         // far below cs).
-        let pairs = alsh_join(
-            &mut r,
-            inst.data(),
-            inst.queries(),
-            spec,
-            AlshParams::default(),
-        )
-        .unwrap();
+        let pairs = run_alsh(&mut r, inst.data(), inst.queries(), spec);
         for p in &pairs {
             assert!(exact_queries.contains(&p.query_index));
         }
@@ -314,20 +267,14 @@ mod tests {
         let inst = planted(&mut r);
         let spec = JoinSpec::new(0.8, 0.6, JoinVariant::Unsigned).unwrap();
         let index = crate::mips::BruteForceMipsIndex::new(inst.data().to_vec(), spec);
-        assert!(index_join(&index, &[]).unwrap().is_empty());
-        assert!(
-            alsh_join(&mut r, inst.data(), &[], spec, AlshParams::default())
-                .unwrap()
-                .is_empty()
-        );
+        assert!(JoinEngine::new(&index).run(&[]).unwrap().is_empty());
+        assert!(run_alsh(&mut r, inst.data(), &[], spec).is_empty());
         let config = MaxIpConfig {
             kappa: 2.0,
             copies: 5,
             rows: None,
         };
-        assert!(sketch_join(&mut r, inst.data(), &[], spec, config, 8)
-            .unwrap()
-            .is_empty());
+        assert!(run_sketch(&mut r, inst.data(), &[], spec, config).is_empty());
     }
 
     #[test]
@@ -347,13 +294,16 @@ mod tests {
         )
         .unwrap();
         let spec = JoinSpec::new(0.8, 0.5, JoinVariant::Signed).unwrap();
-        let pairs = symmetric_join(
+        let pairs = symmetric_engine(
             &mut r,
             inst.data(),
-            inst.queries(),
             spec,
             SymmetricParams::default(),
+            EngineConfig::default(),
+            ScoringOptions::default(),
         )
+        .unwrap()
+        .run(inst.queries())
         .unwrap();
         let reported: Vec<(usize, usize)> = pairs
             .iter()

@@ -22,7 +22,7 @@
 //!   index of `ips-store` reassembles per-shard answers with (per-shard bests and
 //!   top-`k` heaps merged bit-identically to one unsharded search);
 //!   [`planner`] adds the cost-based [`JoinPlanner`] that picks
-//!   the strategy from workload statistics ([`auto_join`]), since no single strategy
+//!   the strategy from workload statistics ([`Strategy::Auto`]), since no single strategy
 //!   dominates — the paper's central message, operationalised; [`facade`] puts one
 //!   fluent, typed [`JoinBuilder`] (`Join::data(d).queries(q)…run()`) in front of
 //!   all of it — the entry point new code should use.
@@ -103,7 +103,7 @@ pub use error::{CoreError, Result};
 pub use facade::{Join, JoinBuilder, JoinReport, Strategy};
 pub use kernel::{Dtype, KernelActivity, KernelCounters, PreparedKernel, ScoringOptions};
 pub use mips::{MipsIndex, SearchResult, SketchMipsAdapter};
-pub use planner::{auto_join, auto_join_with_plan, CostModel, JoinPlan, JoinPlanner};
+pub use planner::{CostModel, JoinPlan, JoinPlanner};
 pub use problem::{JoinSpec, JoinVariant, MatchPair};
 pub use symmetric::SymmetricLshMips;
 pub use topk::{top_k_join, top_k_recall, TopKMipsIndex};

@@ -6,8 +6,9 @@
 //! different `(n, m, d, threshold, correlation)` regimes. This module turns that
 //! observation into a system: [`JoinPlanner`] estimates what each strategy
 //! *would* cost on the workload at hand and dispatches the winner through the
-//! existing [`JoinEngine`], so callers write [`auto_join`] instead of picking
-//! one of the four manual entry points in [`crate::join`].
+//! existing [`crate::JoinEngine`], so callers select
+//! [`crate::facade::Strategy::Auto`] instead of picking one of the four
+//! strategies themselves.
 //!
 //! The pipeline is classical cost-based query planning:
 //!
@@ -27,19 +28,19 @@
 //!    violates (ALSH and symmetric LSH need data in the unit ball, symmetric
 //!    LSH needs the queries there too) are excluded rather than mis-costed.
 //! 4. **Dispatch** — the cheapest eligible strategy is recorded in a
-//!    [`JoinPlan`], which [`JoinPlan::execute`]s through exactly the same
-//!    `*_engine` entry points a caller would use manually, so a plan's result
-//!    is bit-identical to the manual call with the same parameters and RNG.
+//!    [`JoinPlan`], which [`JoinPlan::execute`]s through the same dispatch
+//!    over the [`crate::join`] engine constructors as a fixed-strategy
+//!    [`crate::facade::JoinBuilder`] run, so a plan's result is bit-identical
+//!    to the manual join with the same parameters and RNG.
 //!
 //! Ties favour the earlier entry in [`Strategy::ALL`], which lists the exact
 //! scan first — when the model cannot separate two strategies, the planner
 //! prefers the one with guaranteed recall.
 
 use crate::asymmetric::AlshParams;
-use crate::brute::BorrowedBruteIndex;
-use crate::engine::{EngineConfig, JoinEngine};
+use crate::engine::EngineConfig;
 use crate::error::{CoreError, Result};
-use crate::join::{alsh_engine_scored, sketch_engine, symmetric_engine_scored};
+use crate::join::Dispatch;
 use crate::problem::{JoinSpec, MatchPair};
 use crate::symmetric::{SymmetricParams, SymmetricSphereMap};
 use ips_linalg::DenseVector;
@@ -50,17 +51,17 @@ use rand::Rng;
 /// index constructors themselves allow on vector norms.
 const NORM_TOLERANCE: f64 = 1e-9;
 
-/// The join strategies the planner chooses between — one per manual entry
-/// point in [`crate::join`] plus the exact scan.
+/// The join strategies the planner chooses between — one per engine
+/// constructor in [`crate::join`] plus the exact scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// The exact data-major quadratic scan ([`crate::brute`]).
     BruteForce,
-    /// The Section 4.1 asymmetric-LSH index ([`crate::join::alsh_join`]).
+    /// The Section 4.1 asymmetric-LSH index ([`crate::join::alsh_engine`]).
     Alsh,
-    /// The Section 4.2 symmetric LSH ([`crate::join::symmetric_join`]).
+    /// The Section 4.2 symmetric LSH ([`crate::join::symmetric_engine`]).
     Symmetric,
-    /// The Section 4.3 linear-sketch structure ([`crate::join::sketch_join`]).
+    /// The Section 4.3 linear-sketch structure ([`crate::join::sketch_engine`]).
     Sketch,
 }
 
@@ -669,50 +670,27 @@ impl JoinPlanner {
 }
 
 impl JoinPlan {
-    /// Runs the planned join: dispatches the chosen strategy through exactly
-    /// the engine-backed entry point a caller would use manually, with the
-    /// plan's resolved parameters. Given the same RNG state, the result is
-    /// identical to that manual call.
+    /// Runs the planned join: dispatches the chosen strategy with the plan's
+    /// resolved parameters through the same dispatch a fixed-strategy
+    /// [`crate::facade::JoinBuilder`] run uses. Given the same RNG state, the
+    /// result is identical to that manual run.
     pub fn execute<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         data: &[DenseVector],
         queries: &[DenseVector],
     ) -> Result<Vec<MatchPair>> {
-        match self.choice {
-            Strategy::BruteForce => JoinEngine::with_config(
-                BorrowedBruteIndex::with_options(data, self.spec, self.scoring)?,
-                self.engine,
-            )
-            .run(queries),
-            Strategy::Alsh => alsh_engine_scored(
-                rng,
-                data,
-                self.spec,
-                self.alsh_params,
-                self.engine,
-                self.scoring,
-            )?
-            .run(queries),
-            Strategy::Symmetric => symmetric_engine_scored(
-                rng,
-                data,
-                self.spec,
-                self.symmetric_params,
-                self.engine,
-                self.scoring,
-            )?
-            .run(queries),
-            Strategy::Sketch => sketch_engine(
-                rng,
-                data,
-                self.spec,
-                self.sketch_config,
-                self.sketch_leaf_size,
-                self.engine,
-            )?
-            .run(queries),
+        Dispatch {
+            strategy: self.choice,
+            spec: self.spec,
+            alsh: self.alsh_params,
+            symmetric: self.symmetric_params,
+            sketch: self.sketch_config,
+            sketch_leaf_size: self.sketch_leaf_size,
+            engine: self.engine,
+            scoring: self.scoring,
         }
+        .run(rng, data, queries)
     }
 
     /// The estimate of the chosen strategy.
@@ -781,58 +759,6 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Plans and runs a `(cs, s)` join in one call, letting the planner pick the
-/// strategy. The adaptive sibling of the four manual entry points in
-/// [`crate::join`].
-///
-/// ```
-/// use ips_core::planner::auto_join;
-/// use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant};
-/// use ips_datagen::planted::{PlantedConfig, PlantedInstance};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let inst = PlantedInstance::generate(&mut rng, PlantedConfig {
-///     data: 120, queries: 10, dim: 16,
-///     background_scale: 0.05, planted_ip: 0.85, planted: 4,
-/// }).unwrap();
-/// let spec = JoinSpec::new(0.8, 0.6, JoinVariant::Signed).unwrap();
-/// let pairs = auto_join(&mut rng, inst.data(), inst.queries(), spec).unwrap();
-/// // Whatever strategy was chosen, the output satisfies the validity half of
-/// // Definition 1: every reported pair clears cs.
-/// let (_, valid) = evaluate_join(inst.data(), inst.queries(), &spec, &pairs).unwrap();
-/// assert!(valid);
-/// ```
-pub fn auto_join<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[DenseVector],
-    queries: &[DenseVector],
-    spec: JoinSpec,
-) -> Result<Vec<MatchPair>> {
-    Ok(auto_join_with_plan(rng, data, queries, spec)?.0)
-}
-
-/// Like [`auto_join`], but also returns the [`JoinPlan`] so the caller can
-/// inspect (or [`JoinPlan::explain`]) the decision.
-///
-/// Legacy shim over [`crate::facade::JoinBuilder`] with
-/// [`crate::facade::Strategy::Auto`] (bit-identical given the same RNG state;
-/// proptested in `tests/tests/proptest_facade.rs`).
-pub fn auto_join_with_plan<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[DenseVector],
-    queries: &[DenseVector],
-    spec: JoinSpec,
-) -> Result<(Vec<MatchPair>, JoinPlan)> {
-    let report = crate::facade::Join::data(data)
-        .queries(queries)
-        .spec(spec)
-        .strategy(crate::facade::Strategy::Auto)
-        .run_with_rng(rng)?;
-    let plan = report.plan.expect("Strategy::Auto always attaches a plan");
-    Ok((report.matches, plan))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,6 +769,21 @@ mod tests {
 
     fn spec(s: f64, c: f64) -> JoinSpec {
         JoinSpec::new(s, c, JoinVariant::Signed).unwrap()
+    }
+
+    /// A `Strategy::Auto` join drawing from the caller's RNG.
+    fn run_auto(
+        rng: &mut StdRng,
+        data: &[DenseVector],
+        queries: &[DenseVector],
+        spec: JoinSpec,
+    ) -> crate::facade::JoinReport {
+        crate::facade::Join::data(data)
+            .queries(queries)
+            .spec(spec)
+            .strategy(crate::facade::Strategy::Auto)
+            .run_with_rng(rng)
+            .unwrap()
     }
 
     /// Hand-built statistics: `sampled` inner products over an `n × m × d`
@@ -1077,8 +1018,9 @@ mod tests {
         let data: Vec<DenseVector> = (0..20)
             .map(|_| random_unit_vector(&mut rng, 6).unwrap())
             .collect();
-        let (pairs, plan) = auto_join_with_plan(&mut rng, &data, &[], spec(0.8, 0.6)).unwrap();
-        assert!(pairs.is_empty());
+        let report = run_auto(&mut rng, &data, &[], spec(0.8, 0.6));
+        let plan = report.plan.expect("auto attaches a plan");
+        assert!(report.matches.is_empty());
         assert!(plan.stats.sampled_inner_products.is_empty());
     }
 
@@ -1099,9 +1041,11 @@ mod tests {
         )
         .unwrap();
         let sp = spec(0.8, 0.6);
-        let (pairs, plan) = auto_join_with_plan(&mut rng, inst.data(), inst.queries(), sp).unwrap();
+        let report = run_auto(&mut rng, inst.data(), inst.queries(), sp);
+        let plan = report.plan.expect("auto attaches a plan");
         let (_, valid) =
-            crate::problem::evaluate_join(inst.data(), inst.queries(), &sp, &pairs).unwrap();
+            crate::problem::evaluate_join(inst.data(), inst.queries(), &sp, &report.matches)
+                .unwrap();
         assert!(valid);
         assert!(plan.estimates.iter().any(|e| e.eligible));
     }

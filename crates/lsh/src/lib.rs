@@ -17,8 +17,7 @@
 //! | L2-ALSH(SL) | [`alsh_l2`] | the original ALSH for MIPS \[45\] |
 //! | Sign-ALSH | [`sign_alsh`] | improved ALSH via sign random projections (follow-up to \[45\]) |
 //! | SIMPLE-ALSH | [`simple_alsh`] | Neyshabur–Srebro reduction \[39\]; basis of Section 4.1 |
-//! | Multi-probe SimHash | [`multiprobe`] | table-count vs probe-count ablation for the Section 4.1 index |
-//! | Query-directed probing | [`probe`] | compositional multi-probe for the production indexes (PR 10) |
+//! | Query-directed multi-probe | [`probe`] | extra buckets per table for the Section 4.1/4.2 indexes: fewer tables for a few more lookups |
 //! | Packed hyperplane hashing | [`packed`] | one-pass, bit-identical hashing of every table for the two hyperplane families |
 //!
 //! The closed-form ρ exponents compared in **Figure 2** (DATA-DEP, SIMP, MH-ALSH) are
@@ -39,7 +38,6 @@ pub mod error;
 pub mod hyperplane;
 pub mod mhalsh;
 pub mod minhash;
-pub mod multiprobe;
 pub mod packed;
 pub mod probe;
 pub mod rho;

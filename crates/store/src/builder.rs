@@ -3,7 +3,7 @@
 //!
 //! The sibling of [`ips_core::facade::JoinBuilder`] for the persistent side of
 //! the workspace: where the join builder answers one ad-hoc batch,
-//! [`IndexBuilder`] produces a long-lived [`ServingIndex`] — built fresh over a
+//! [`IndexBuilder`] produces a long-lived [`ShardedServingIndex`] — built fresh over a
 //! data set or loaded from a snapshot file — from the same typed strategy and
 //! parameter vocabulary ([`Strategy`], [`ips_core::asymmetric::AlshParams`],
 //! [`EngineConfig`], …), so the CLI's `build`/`serve`/`query` subcommands, the
@@ -20,18 +20,18 @@
 //!     DenseVector::from(&[0.0, 0.8][..]),
 //! ];
 //! // Build an ALSH index over the data and serve it...
-//! let mut serving = Index::build(data)
+//! let serving = Index::build(data)
 //!     .spec(JoinSpec::new(0.5, 0.8, JoinVariant::Signed).unwrap())
 //!     .strategy(Strategy::Alsh)
 //!     .seed(3)
-//!     .serve()
+//!     .serve_sharded()
 //!     .unwrap();
 //! // ...persist it, and reopen the snapshot with a different schedule.
 //! let dir = std::env::temp_dir().join("ips-store-builder-doc");
 //! std::fs::create_dir_all(&dir).unwrap();
 //! let path = dir.join("doc.snap");
 //! serving.save(&path).unwrap();
-//! let reopened = Index::open(&path).threads(1).serve().unwrap();
+//! let reopened = Index::open(&path).threads(1).serve_sharded().unwrap();
 //! assert_eq!(reopened.len(), 2);
 //! ```
 //!
@@ -43,7 +43,7 @@
 
 use crate::coalesce::{CoalesceConfig, Coalescer};
 use crate::error::{Result, StoreError};
-use crate::serving::{IndexConfig, ServingConfig, ServingIndex};
+use crate::serving::{IndexConfig, ServingConfig};
 use crate::sharded::{ShardedConfig, ShardedServingIndex};
 use ips_core::asymmetric::AlshParams;
 use ips_core::engine::EngineConfig;
@@ -59,7 +59,7 @@ use std::path::PathBuf;
 
 /// Entry point of the fluent index facade: [`Index::build`] starts from a data
 /// set, [`Index::open`] from a snapshot file; both end in
-/// [`IndexBuilder::serve`].
+/// [`IndexBuilder::serve_sharded`] (or [`IndexBuilder::serve_coalescing`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Index;
 
@@ -97,7 +97,7 @@ enum Source {
 /// [`ServingConfig::default`], `shards` unset (build → one shard, open → the
 /// file's stored layout; see [`IndexBuilder::serve_sharded`]).
 #[derive(Debug, Clone)]
-#[must_use = "an IndexBuilder does nothing until `serve` is called"]
+#[must_use = "an IndexBuilder does nothing until `serve_sharded` is called"]
 pub struct IndexBuilder {
     source: Source,
     spec: Option<JoinSpec>,
@@ -372,38 +372,6 @@ impl IndexBuilder {
         })
     }
 
-    /// Terminal call: builds (or loads) the index and wraps it for serving.
-    ///
-    /// This is the *unsharded* terminal; it rejects a [`IndexBuilder::shards`]
-    /// count other than 1 (use [`IndexBuilder::serve_sharded`], which also accepts
-    /// multi-shard snapshot files).
-    pub fn serve(mut self) -> Result<ServingIndex> {
-        if let Some(shards) = self.shards {
-            if shards != 1 {
-                return Err(StoreError::InvalidParameter {
-                    name: "shards",
-                    reason: format!(
-                        "serve() builds an unsharded index; use serve_sharded() for \
-                         shards = {shards}"
-                    ),
-                });
-            }
-        }
-        let config = self.serving_config();
-        let source = std::mem::replace(&mut self.source, Source::Snapshot(PathBuf::new()));
-        match source {
-            Source::Snapshot(path) => {
-                self.reject_spec_on_snapshot()?;
-                ServingIndex::open(&path, config)
-            }
-            Source::Data(data) => {
-                let spec = self.require_spec()?;
-                let index_config = self.resolve_index_config(&data, spec)?;
-                ServingIndex::build(data, spec, index_config, config)
-            }
-        }
-    }
-
     /// Terminal call: builds (or loads) a [`ShardedServingIndex`].
     ///
     /// Building from data partitions the vectors across [`IndexBuilder::shards`]
@@ -504,15 +472,18 @@ mod tests {
             .spec(spec())
             .strategy(Strategy::Alsh)
             .seed(7)
-            .serve()
+            .serve_sharded()
             .unwrap();
-        let direct = ServingIndex::build(
+        let direct = ShardedServingIndex::build(
             inst.data().to_vec(),
             spec(),
             IndexConfig::Alsh(AlshParams::default()),
-            ServingConfig {
-                seed: 7,
-                ..ServingConfig::default()
+            ShardedConfig {
+                shards: 1,
+                serving: ServingConfig {
+                    seed: 7,
+                    ..ServingConfig::default()
+                },
             },
         )
         .unwrap();
@@ -535,7 +506,7 @@ mod tests {
             let serving = Index::build(inst.data().to_vec())
                 .spec(spec())
                 .strategy(strategy)
-                .serve()
+                .serve_sharded()
                 .unwrap();
             assert_eq!(serving.family(), family);
         }
@@ -547,7 +518,7 @@ mod tests {
         let err = Index::build(inst.data().to_vec())
             .spec(spec())
             .strategy(Strategy::Auto)
-            .serve()
+            .serve_sharded()
             .map(|_| ())
             .unwrap_err();
         assert!(err.to_string().contains("queries"), "{err}");
@@ -556,7 +527,7 @@ mod tests {
             .spec(spec())
             .strategy(Strategy::Auto)
             .queries(inst.queries().to_vec())
-            .serve()
+            .serve_sharded()
             .unwrap();
         assert_eq!(serving.family(), IndexFamily::Brute);
     }
@@ -565,7 +536,7 @@ mod tests {
     fn build_requires_a_spec_and_open_rejects_one() {
         let inst = workload();
         let err = Index::build(inst.data().to_vec())
-            .serve()
+            .serve_sharded()
             .map(|_| ())
             .unwrap_err();
         assert!(err.to_string().contains("spec"), "{err}");
@@ -573,20 +544,24 @@ mod tests {
         let dir = std::env::temp_dir().join("ips-store-builder-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.snap");
-        let mut built = Index::build(inst.data().to_vec())
+        let built = Index::build(inst.data().to_vec())
             .spec(spec())
             .seed(5)
-            .serve()
+            .serve_sharded()
             .unwrap();
         built.save(&path).unwrap();
 
         let err = Index::open(&path)
             .spec(spec())
-            .serve()
+            .serve_sharded()
             .map(|_| ())
             .unwrap_err();
         assert!(err.to_string().contains("spec"), "{err}");
-        let reopened = Index::open(&path).threads(1).chunk_size(8).serve().unwrap();
+        let reopened = Index::open(&path)
+            .threads(1)
+            .chunk_size(8)
+            .serve_sharded()
+            .unwrap();
         assert_eq!(reopened.len(), inst.data().len());
         assert_eq!(
             reopened.query(inst.queries()).unwrap(),
@@ -598,27 +573,13 @@ mod tests {
     #[test]
     fn sharded_terminal_builds_reshards_and_matches_unsharded() {
         let inst = workload();
-        // serve() is the unsharded terminal: a shard count != 1 is redirected.
-        let err = Index::build(inst.data().to_vec())
-            .spec(spec())
-            .shards(4)
-            .serve()
-            .map(|_| ())
-            .unwrap_err();
-        assert!(err.to_string().contains("serve_sharded"), "{err}");
-        // ...but shards(1) is the same thing and allowed.
-        assert!(Index::build(inst.data().to_vec())
-            .spec(spec())
-            .shards(1)
-            .serve()
-            .is_ok());
-
         let unsharded = Index::build(inst.data().to_vec())
             .spec(spec())
             .strategy(Strategy::Alsh)
             .seed(7)
-            .serve()
+            .serve_sharded()
             .unwrap();
+        assert_eq!(unsharded.shard_count(), 1, "building defaults to one shard");
         let sharded = Index::build(inst.data().to_vec())
             .spec(spec())
             .strategy(Strategy::Alsh)
@@ -652,10 +613,7 @@ mod tests {
             preserved.query(inst.queries()).unwrap(),
             resharded.query(inst.queries()).unwrap()
         );
-        // The unsharded terminal cannot load a multi-shard file...
-        let err = Index::open(&path).serve().map(|_| ()).unwrap_err();
-        assert!(err.to_string().contains("multi-shard"), "{err}");
-        // ...and a snapshot still owns its spec under the sharded terminal too.
+        // A snapshot owns its spec under the sharded terminal too.
         let err = Index::open(&path)
             .spec(spec())
             .serve_sharded()
@@ -680,11 +638,11 @@ mod tests {
                     .strategy(strategy)
                     .seed(11)
                     .quantized(quantized)
-                    .serve()
+                    .serve_sharded()
                     .unwrap()
             };
             let plain = build(false);
-            let mut quant = build(true);
+            let quant = build(true);
             assert_eq!(
                 plain.query(inst.queries()).unwrap(),
                 quant.query(inst.queries()).unwrap(),
@@ -693,7 +651,7 @@ mod tests {
             // Mutations re-prepare the quantized tile; answers stay identical
             // to a default-path index holding the same live set.
             let extra = inst.queries()[0].scaled(0.9);
-            let mut plain = build(false);
+            let plain = build(false);
             plain.insert(extra.clone()).unwrap();
             quant.insert(extra).unwrap();
             assert_eq!(
@@ -711,7 +669,7 @@ mod tests {
             .spec(spec())
             .strategy(Strategy::Brute)
             .dtype(ips_core::Dtype::F32)
-            .serve()
+            .serve_sharded()
             .unwrap();
         let pairs = serving.query(inst.queries()).unwrap();
         assert!(!pairs.is_empty());
@@ -731,14 +689,14 @@ mod tests {
             .spec(spec())
             .strategy(Strategy::Alsh)
             .seed(7)
-            .serve()
+            .serve_sharded()
             .unwrap();
-        let mut probed = Index::build(inst.data().to_vec())
+        let probed = Index::build(inst.data().to_vec())
             .spec(spec())
             .strategy(Strategy::Alsh)
             .seed(7)
             .probes(4)
-            .serve()
+            .serve_sharded()
             .unwrap();
         let a = plain.query(inst.queries()).unwrap();
         let b = probed.query(inst.queries()).unwrap();
@@ -750,9 +708,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("probed.snap");
         probed.save(&path).unwrap();
-        let kept = Index::open(&path).serve().unwrap();
+        let kept = Index::open(&path).serve_sharded().unwrap();
         assert_eq!(kept.query(inst.queries()).unwrap(), b);
-        let overridden = Index::open(&path).probes(0).serve().unwrap();
+        let overridden = Index::open(&path).probes(0).serve_sharded().unwrap();
         assert_eq!(
             overridden.query(inst.queries()).unwrap(),
             a,
@@ -770,7 +728,7 @@ mod tests {
             .engine(EngineConfig::serial())
             .rebuild_threshold(0.5)
             .slow_log_micros(1_500)
-            .serve()
+            .serve_sharded()
             .unwrap();
         assert_eq!(serving.spec(), spec());
         assert_eq!(serving.serving_config().slow_log_micros, 1_500);
@@ -779,7 +737,7 @@ mod tests {
             .spec(spec())
             .strategy(Strategy::Brute)
             .rebuild_threshold(0.0)
-            .serve()
+            .serve_sharded()
             .is_err());
     }
 }

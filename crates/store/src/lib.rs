@@ -14,22 +14,22 @@
 //!   matrices. Round-trips are **bit-identical**: a saved-then-loaded index has the
 //!   same buckets, the same (already-drawn) randomness, and returns bit-equal query
 //!   results.
-//! * **Serving** — [`ServingIndex`] wraps a loaded snapshot behind stable external
-//!   ids, supports incremental [`ServingIndex::insert`] / [`ServingIndex::delete`]
-//!   (true dynamic maintenance for the LSH families; overlay + tombstone + threshold
-//!   rebuild for the sketch structure; see [`serving`]), answers batched
-//!   above-threshold and top-`k` queries through the existing
-//!   [`ips_core::JoinEngine`], and keeps per-index query/hit/latency counters.
-//!   [`ShardedServingIndex`] scales that to `N` hash-partitioned shards behind
+//! * **Serving** — [`ShardedServingIndex`] wraps a loaded snapshot behind stable
+//!   external ids, supports incremental [`ShardedServingIndex::insert`] /
+//!   [`ShardedServingIndex::delete`] (true dynamic maintenance for the LSH
+//!   families; overlay + tombstone + threshold rebuild for the sketch structure;
+//!   see [`serving`]), answers batched above-threshold and top-`k` queries through
+//!   the existing [`ips_core::JoinEngine`], and keeps per-index query/hit/latency
+//!   counters. Its data is split across `N ≥ 1` hash-partitioned shards behind
 //!   per-shard `RwLock`s — concurrent batched reads, mutations routed to the
 //!   owning shard, per-shard answers merged exactly through [`ips_core::shard`]
-//!   (bit-identical to the unsharded index for the candidate-decomposable
-//!   families; see [`sharded`]) — and [`ServingRegistry`] routes between several
-//!   loaded (sharded) indexes by name.
+//!   (bit-identical to one shard for the candidate-decomposable families; see
+//!   [`sharded`]) — and [`ServingRegistry`] routes between several loaded indexes
+//!   by name.
 //!
 //! Both halves are configured through one fluent facade, [`builder::IndexBuilder`]
-//! (`Index::build(data).spec(s).strategy(…).serve()` /
-//! `Index::open(path).threads(n).serve()`), the persistent sibling of
+//! (`Index::build(data).spec(s).strategy(…).serve_sharded()` /
+//! `Index::open(path).threads(n).serve_sharded()`), the persistent sibling of
 //! `ips_core::facade::JoinBuilder`; the `ips` CLI exposes the full data flow
 //! through it: `ips build` (dataset → snapshot file), `ips serve` (line-protocol
 //! REPL over a snapshot), `ips query` (one-shot batch against a snapshot).
@@ -37,7 +37,7 @@
 //! ```
 //! use ips_core::problem::{JoinSpec, JoinVariant};
 //! use ips_linalg::DenseVector;
-//! use ips_store::{IndexConfig, ServingConfig, ServingIndex, Snapshot};
+//! use ips_store::{IndexConfig, ShardedConfig, ShardedServingIndex, Snapshot};
 //!
 //! // Build once...
 //! let data = vec![
@@ -45,8 +45,9 @@
 //!     DenseVector::from(&[0.0, 0.8][..]),
 //! ];
 //! let spec = JoinSpec::new(0.5, 0.8, JoinVariant::Signed).unwrap();
-//! let mut serving =
-//!     ServingIndex::build(data, spec, IndexConfig::Brute, ServingConfig::default()).unwrap();
+//! let serving =
+//!     ShardedServingIndex::build(data, spec, IndexConfig::Brute, ShardedConfig::default())
+//!         .unwrap();
 //! // ...serve many times, mutating as traffic demands.
 //! let inserted = serving.insert(DenseVector::from(&[0.7, 0.7][..])).unwrap();
 //! let pairs = serving.query(&[DenseVector::from(&[1.0, 0.0][..])]).unwrap();
@@ -82,6 +83,6 @@ pub use coalesce::{CoalesceConfig, Coalescer};
 pub use error::{Result, StoreError};
 pub use persist::Persist;
 pub use registry::ServingRegistry;
-pub use serving::{IndexConfig, ServingConfig, ServingIndex, ServingStats, ServingView};
+pub use serving::{IndexConfig, ServingConfig, ServingStats};
 pub use sharded::{shard_of, MigrationReport, ShardedConfig, ShardedServingIndex, ShardedView};
 pub use snapshot::{AnyIndex, IndexFamily, Snapshot};

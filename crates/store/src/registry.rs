@@ -6,10 +6,8 @@
 //! programmatic seam under `ips serve` — the CLI serves one registry entry,
 //! embedders can hold many.
 //!
-//! Entries are [`ShardedServingIndex`]es; a plain [`ServingIndex`] registers via
-//! its lossless one-shard conversion (`registry.register(name, index)` accepts
-//! both), so unsharded and sharded serving share one routing surface — and every
-//! routed operation takes `&self` on the entry (the shard locks live inside), so
+//! Entries are [`ShardedServingIndex`]es (one shard or many), and every routed
+//! operation takes `&self` on the entry (the shard locks live inside), so
 //! concurrent readers of different entries, or even of one entry, never contend
 //! on the registry itself.
 
@@ -18,9 +16,6 @@ use crate::serving::{ServingConfig, ServingStats};
 use crate::sharded::ShardedServingIndex;
 use std::collections::BTreeMap;
 use std::path::Path;
-
-#[allow(unused_imports)] // rustdoc link target
-use crate::serving::ServingIndex;
 
 /// A named collection of [`ShardedServingIndex`]es.
 #[derive(Default)]
@@ -49,15 +44,14 @@ impl ServingRegistry {
         self.indexes.keys().map(String::as_str).collect()
     }
 
-    /// Registers an already-constructed serving index under `name` — sharded, or a
-    /// plain [`ServingIndex`] via its one-shard conversion — replacing and
-    /// returning any previous holder of the name.
+    /// Registers an already-constructed serving index under `name`, replacing
+    /// and returning any previous holder of the name.
     pub fn register(
         &mut self,
         name: &str,
-        index: impl Into<ShardedServingIndex>,
+        index: ShardedServingIndex,
     ) -> Option<ShardedServingIndex> {
-        self.indexes.insert(name.to_string(), index.into())
+        self.indexes.insert(name.to_string(), index)
     }
 
     /// Loads a snapshot file (either layout, keeping its stored shard count) and
@@ -126,7 +120,7 @@ impl ServingRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::{IndexConfig, ServingIndex};
+    use crate::serving::IndexConfig;
     use crate::sharded::ShardedConfig;
     use ips_core::problem::{JoinSpec, JoinVariant};
     use ips_linalg::random::random_ball_vector;
@@ -137,16 +131,16 @@ mod tests {
         JoinSpec::new(0.4, 0.5, JoinVariant::Signed).unwrap()
     }
 
-    fn sample_index(seed: u64) -> ServingIndex {
+    fn sample_index(seed: u64) -> ShardedServingIndex {
         let mut rng = StdRng::seed_from_u64(seed);
         let data = (0..20)
             .map(|_| random_ball_vector(&mut rng, 6, 1.0).unwrap())
             .collect();
-        ServingIndex::build(
+        ShardedServingIndex::build(
             data,
             sample_spec(),
             IndexConfig::Brute,
-            ServingConfig::default(),
+            ShardedConfig::default(),
         )
         .unwrap()
     }
@@ -184,8 +178,7 @@ mod tests {
         assert!(registry.is_empty());
         assert!(registry.get("a").is_err());
         assert!(registry.get_mut("a").is_err());
-        // A plain ServingIndex registers via the one-shard conversion; a sharded
-        // index registers as-is.
+        // One-shard and multi-shard indexes register alike.
         registry.register("b", sample_index(1));
         let data: Vec<_> = (0..20)
             .map(|_| random_ball_vector(&mut rng, 6, 1.0).unwrap())

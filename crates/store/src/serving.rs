@@ -1,10 +1,11 @@
-//! The long-lived serving layer: a loaded snapshot that answers query batches and
-//! accepts incremental `insert` / `delete`, with per-index counters.
+//! Serving configuration and counters, and the shard every
+//! [`ShardedServingIndex`](crate::ShardedServingIndex) is made of.
 //!
-//! A [`ServingIndex`] owns one [`AnyIndex`] (the *primary* structure) and hands out
-//! **stable external ids**: the id returned by [`ServingIndex::insert`] stays valid
-//! across every later mutation, rebuild and save/load cycle, which is what clients of
-//! a long-lived service key their state on.
+//! A shard owns one [`AnyIndex`] (the *primary* structure) and maps **stable
+//! external ids** onto its slots: an id handed out by
+//! [`ShardedServingIndex::insert`](crate::ShardedServingIndex::insert) stays
+//! valid across every later mutation, rebuild and save/load cycle, which is what
+//! clients of a long-lived service key their state on.
 //!
 //! # Mutation strategy per family
 //!
@@ -22,26 +23,20 @@
 //!   (default 0.25) the structure is rebuilt over the live set.
 //!
 //! Rebuilds always re-seed from [`ServingConfig::seed`], so a mutated-then-compacted
-//! index is *identical* to one built fresh from the same live vectors with the same
+//! shard is *identical* to one built fresh from the same live vectors with the same
 //! seed — the equivalence the insert/delete property tests pin down.
 //!
-//! Queries run through the existing [`JoinEngine`] (same chunking, work stealing and
-//! result assembly as every join in the workspace) via [`ServingIndex::query`] /
-//! [`ServingIndex::query_top_k`], and results carry external ids.
-//!
-//! Construction and loading are usually spelled through the fluent
-//! [`crate::builder::Index`] facade (`Index::build(data).spec(s).strategy(…).serve()` /
-//! `Index::open(path).serve()`), which resolves a strategy — including the
-//! planner-consulting `Auto` — into the [`IndexConfig`] + [`ServingConfig`] pair the
-//! constructors below take; the direct constructors stay public for callers that
-//! already hold those configs.
+//! Queries reach a shard through the sharded layer's merge view, which searches
+//! each shard with external ids in `data_index` and runs the batch through the
+//! existing [`ips_core::JoinEngine`] (same chunking, work stealing and result assembly as
+//! every join in the workspace).
 
 use crate::error::{Result, StoreError};
 use crate::snapshot::{AnyIndex, IndexFamily, Snapshot};
 use ips_core::asymmetric::AlshParams;
-use ips_core::engine::{EngineConfig, JoinEngine};
+use ips_core::engine::EngineConfig;
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult, SketchMipsAdapter};
-use ips_core::problem::{JoinSpec, MatchPair};
+use ips_core::problem::JoinSpec;
 use ips_core::symmetric::{SymmetricLshMips, SymmetricParams};
 use ips_core::topk::TopKMipsIndex;
 use ips_core::AlshMipsIndex;
@@ -50,7 +45,6 @@ use ips_sketch::linf_mips::MaxIpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -84,10 +78,10 @@ impl IndexConfig {
     }
 }
 
-/// Tuning of a [`ServingIndex`].
+/// Tuning of a serving index (applied to every shard).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingConfig {
-    /// Schedule of the [`JoinEngine`] answering query batches.
+    /// Schedule of the [`ips_core::JoinEngine`] answering query batches.
     pub engine: EngineConfig,
     /// Rebuild when `(tombstoned + overlaid) / live` exceeds this fraction
     /// (brute rebuilds on every mutation regardless).
@@ -182,7 +176,7 @@ impl ServingStats {
 }
 
 /// The relaxed-atomic counter block behind [`ServingStats`]: shared between
-/// [`ServingIndex`] and the sharded layer so metric bumps never need a write lock
+/// [`Shard`] and the sharded layer so metric bumps never need a write lock
 /// — queries hold shard *read* locks and still tick these.
 #[derive(Default)]
 pub(crate) struct Counters {
@@ -197,19 +191,6 @@ pub(crate) struct Counters {
 }
 
 impl Counters {
-    /// A counter block pre-loaded with another index's query/hit/latency history —
-    /// what the one-shard `ServingIndex → ShardedServingIndex` conversion uses so
-    /// wrapping a warm index does not zero its query metrics. Mutation counters
-    /// stay zero here: those keep living (and arriving pre-accumulated) in the
-    /// wrapped shard itself.
-    pub(crate) fn with_query_history(stats: &ServingStats) -> Self {
-        let counters = Self::default();
-        counters.queries.store(stats.queries, Ordering::Relaxed);
-        counters.hits.store(stats.hits, Ordering::Relaxed);
-        counters.query_ns.store(stats.query_ns, Ordering::Relaxed);
-        counters
-    }
-
     /// A point-in-time copy.
     ///
     /// The three query-path counters are read in the *reverse* of the order
@@ -269,8 +250,9 @@ impl Counters {
     }
 }
 
-/// A loaded, mutable, query-serving index with stable external ids.
-pub struct ServingIndex {
+/// One shard of a sharded serving index: a loaded, mutable structure with
+/// stable external ids.
+pub(crate) struct Shard {
     primary: AnyIndex,
     /// Slot → external id, for every primary slot (live or tombstoned).
     primary_ids: Vec<u64>,
@@ -321,27 +303,9 @@ fn extract_index_config(index: &AnyIndex) -> IndexConfig {
     }
 }
 
-impl ServingIndex {
-    /// Builds a fresh index over `data` and wraps it for serving, numbering external
-    /// ids `0..data.len()`.
-    pub fn build(
-        data: Vec<DenseVector>,
-        spec: JoinSpec,
-        index_config: IndexConfig,
-        config: ServingConfig,
-    ) -> Result<Self> {
-        if data.is_empty() {
-            return Err(StoreError::InvalidParameter {
-                name: "data",
-                reason: "a serving index needs at least one vector".into(),
-            });
-        }
-        let primary = build_index(data, spec, index_config, config.seed)?;
-        Self::from_snapshot(Snapshot::new(primary), config)
-    }
-
+impl Shard {
     /// Wraps a loaded [`Snapshot`] for serving.
-    pub fn from_snapshot(snapshot: Snapshot, config: ServingConfig) -> Result<Self> {
+    pub(crate) fn from_snapshot(snapshot: Snapshot, config: ServingConfig) -> Result<Self> {
         if !(config.rebuild_threshold > 0.0) {
             return Err(StoreError::InvalidParameter {
                 name: "rebuild_threshold",
@@ -397,32 +361,16 @@ impl ServingIndex {
         Ok(serving)
     }
 
-    /// Loads a snapshot file and wraps it for serving.
-    pub fn open(path: &Path, config: ServingConfig) -> Result<Self> {
-        Self::from_snapshot(Snapshot::load(path)?, config)
-    }
-
-    /// Compacts pending state into the primary structure and writes a snapshot file,
-    /// returning the number of bytes written. The saved snapshot preserves every
-    /// live external id and the id allocator, so a reload continues exactly where
-    /// this index stands.
+    /// Compacts pending state and encodes the shard as single-shard snapshot
+    /// bytes — what the sharded layer writes as a whole one-shard file or embeds
+    /// per shard inside a multi-shard one.
     ///
-    /// An index with **no live vectors cannot be saved**: the snapshot format
+    /// A shard with **no live vectors cannot be snapshotted**: the snapshot format
     /// carries the dimension through its vectors, and the non-brute structures
     /// cannot be rebuilt empty — a snapshot written in that state would either be
     /// unloadable (brute) or resurrect tombstoned vectors (sketch). The error is
-    /// returned before anything is written; insert at least one vector first.
-    pub fn save(&mut self, path: &Path) -> Result<u64> {
-        let bytes = self.snapshot_bytes()?;
-        std::fs::write(path, &bytes)?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Compacts pending state and encodes the index as single-shard snapshot bytes —
-    /// what [`ServingIndex::save`] writes, exposed so the sharded serving layer can
-    /// embed per-shard snapshots inside one multi-shard file. The same
-    /// no-live-vectors restriction applies (see [`ServingIndex::save`]).
-    pub fn snapshot_bytes(&mut self) -> Result<Vec<u8>> {
+    /// returned before anything is written.
+    pub(crate) fn snapshot_bytes(&mut self) -> Result<Vec<u8>> {
         if self.is_empty() {
             return Err(StoreError::InvalidParameter {
                 name: "serving",
@@ -439,32 +387,32 @@ impl ServingIndex {
     }
 
     /// The index family being served.
-    pub fn family(&self) -> IndexFamily {
+    pub(crate) fn family(&self) -> IndexFamily {
         self.primary.family()
     }
 
     /// The `(cs, s)` spec queries are answered under.
-    pub fn spec(&self) -> JoinSpec {
+    pub(crate) fn spec(&self) -> JoinSpec {
         self.spec
     }
 
     /// The data dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
     /// Number of live vectors.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.id_to_slot.len() + self.overlay.len()
     }
 
     /// Returns `true` when every vector has been deleted.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The live external ids, ascending.
-    pub fn ids(&self) -> Vec<u64> {
+    pub(crate) fn ids(&self) -> Vec<u64> {
         let mut out: Vec<u64> = self.id_to_slot.keys().copied().collect();
         out.extend(self.overlay.iter().map(|(id, _)| *id));
         out.sort_unstable();
@@ -472,7 +420,7 @@ impl ServingIndex {
     }
 
     /// The vector behind a live external id.
-    pub fn vector(&self, id: u64) -> Result<&DenseVector> {
+    pub(crate) fn vector(&self, id: u64) -> Result<&DenseVector> {
         if let Some(&slot) = self.id_to_slot.get(&id) {
             return self
                 .primary
@@ -489,11 +437,6 @@ impl ServingIndex {
     /// The family configuration this index was built with (what a rebuild re-builds).
     pub(crate) fn index_config(&self) -> IndexConfig {
         self.index_config
-    }
-
-    /// The serving configuration (engine schedule, rebuild threshold, seed).
-    pub(crate) fn serving_config(&self) -> ServingConfig {
-        self.config
     }
 
     /// The next external id the internal allocator would hand out.
@@ -556,7 +499,7 @@ impl ServingIndex {
     }
 
     /// A point-in-time copy of the per-index counters.
-    pub fn stats(&self) -> ServingStats {
+    pub(crate) fn stats(&self) -> ServingStats {
         self.counters.snapshot()
     }
 
@@ -564,7 +507,7 @@ impl ServingIndex {
     /// zero on the default exact path, which records nothing. The sharded
     /// telemetry layer reads per-batch deltas of this to observe candidate /
     /// pruned / rescored counts.
-    pub fn kernel_activity(&self) -> ips_core::KernelActivity {
+    pub(crate) fn kernel_activity(&self) -> ips_core::KernelActivity {
         match &self.primary {
             AnyIndex::Brute(i) => i.kernel_activity(),
             AnyIndex::Alsh(i) => i.kernel_activity(),
@@ -575,13 +518,6 @@ impl ServingIndex {
         }
     }
 
-    /// Inserts a vector, returning its stable external id.
-    pub fn insert(&mut self, v: DenseVector) -> Result<u64> {
-        let id = self.next_id;
-        self.insert_with_id(id, v)?;
-        Ok(id)
-    }
-
     /// Inserts a vector under a caller-assigned external id — the mutation-routing
     /// entry point of the sharded serving layer, whose ids come from a global
     /// allocator and so are assigned *outside* any one shard.
@@ -589,9 +525,8 @@ impl ServingIndex {
     /// The id must be fresh: an id that is currently live, pending in the overlay,
     /// tombstoned, or occupying a (possibly deleted) primary slot is rejected —
     /// reusing ids would break the stable-external-id contract. The internal
-    /// allocator is advanced past `id`, so a later [`ServingIndex::insert`] can
-    /// never collide with it.
-    pub fn insert_with_id(&mut self, id: u64, v: DenseVector) -> Result<()> {
+    /// allocator is advanced past `id`, so it never hands out an id in use.
+    pub(crate) fn insert_with_id(&mut self, id: u64, v: DenseVector) -> Result<()> {
         if v.dim() != self.dim {
             return Err(StoreError::InvalidParameter {
                 name: "v",
@@ -644,7 +579,7 @@ impl ServingIndex {
     }
 
     /// Deletes the vector behind a live external id.
-    pub fn delete(&mut self, id: u64) -> Result<()> {
+    pub(crate) fn delete(&mut self, id: u64) -> Result<()> {
         if let Some(pos) = self.overlay.iter().position(|(oid, _)| *oid == id) {
             self.overlay.remove(pos);
             self.counters.deletes.fetch_add(1, Ordering::Relaxed);
@@ -679,43 +614,16 @@ impl ServingIndex {
         Ok(())
     }
 
-    /// Answers a batch of `(cs, s)` above-threshold queries through the
-    /// [`JoinEngine`] (one best partner per query at most, external ids in
-    /// `data_index`), updating the query/hit/latency counters.
-    pub fn query(&self, queries: &[DenseVector]) -> Result<Vec<MatchPair>> {
-        let start = Instant::now();
-        let engine = JoinEngine::with_config(ServingView(self), self.config.engine);
-        let pairs = engine.run(queries)?;
-        self.note_queries(queries.len(), pairs.len(), start);
-        Ok(pairs)
-    }
-
-    /// Answers a batch of top-`k` queries through the [`JoinEngine`] (up to `k`
-    /// partners per query, best first, external ids in `data_index`), updating the
-    /// counters. For a sketch-family index the structure recovers at most one
-    /// candidate per query, so fewer than `k` partners are expected.
-    pub fn query_top_k(&self, queries: &[DenseVector], k: usize) -> Result<Vec<MatchPair>> {
-        let start = Instant::now();
-        let engine = JoinEngine::with_config(ServingView(self), self.config.engine);
-        let pairs = engine.run_top_k(queries, k)?;
-        self.note_queries(queries.len(), pairs.len(), start);
-        Ok(pairs)
-    }
-
     /// Forces the pending overlay / tombstones / dead slots into a fresh primary
-    /// structure now, whatever the threshold says. After a compact, the index is
+    /// structure now, whatever the threshold says. After a compact, the shard is
     /// identical to one built from its live vectors with [`ServingConfig::seed`].
-    pub fn compact(&mut self) -> Result<()> {
+    pub(crate) fn compact(&mut self) -> Result<()> {
         let dirty = (self.primary_ids.len() - self.id_to_slot.len()) + self.overlay.len();
         if dirty == 0 {
             return Ok(());
         }
         let entries = self.live_entries();
         self.rebuild_from(entries)
-    }
-
-    fn note_queries(&self, queries: usize, hits: usize, start: Instant) {
-        self.counters.note_queries(queries, hits, start);
     }
 
     /// Live `(external id, vector)` pairs in **ascending id order** — the canonical
@@ -792,13 +700,13 @@ impl ServingIndex {
     }
 }
 
-/// A borrow of a [`ServingIndex`] that speaks [`MipsIndex`] / [`TopKMipsIndex`] with
+/// A borrow of a [`Shard`] that speaks [`MipsIndex`] / [`TopKMipsIndex`] with
 /// **external ids** in `data_index`, merging the primary structure with the overlay
-/// and suppressing tombstoned answers — the adapter [`ServingIndex::query`] feeds to
-/// the [`JoinEngine`].
-pub struct ServingView<'a>(pub &'a ServingIndex);
+/// and suppressing tombstoned answers — what the sharded merge view searches each
+/// shard through.
+pub(crate) struct ShardView<'a>(pub(crate) &'a Shard);
 
-impl ServingView<'_> {
+impl ShardView<'_> {
     fn merge_overlay(
         &self,
         query: &DenseVector,
@@ -825,7 +733,7 @@ impl ServingView<'_> {
     }
 }
 
-impl MipsIndex for ServingView<'_> {
+impl MipsIndex for ShardView<'_> {
     fn len(&self) -> usize {
         self.0.len()
     }
@@ -852,7 +760,7 @@ impl MipsIndex for ServingView<'_> {
     }
 }
 
-impl TopKMipsIndex for ServingView<'_> {
+impl TopKMipsIndex for ShardView<'_> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> ips_core::Result<Vec<SearchResult>> {
         let spec = self.0.spec;
         let mut hits: Vec<SearchResult> = Vec::new();
@@ -892,7 +800,8 @@ impl TopKMipsIndex for ServingView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ips_core::problem::JoinVariant;
+    use ips_core::engine::JoinEngine;
+    use ips_core::problem::{JoinVariant, MatchPair};
     use ips_linalg::random::{random_ball_vector, random_unit_vector};
 
     fn vectors(seed: u64, n: usize, dim: usize, scale: f64) -> Vec<DenseVector> {
@@ -908,6 +817,37 @@ mod tests {
 
     fn spec() -> JoinSpec {
         JoinSpec::new(0.7, 0.6, JoinVariant::Signed).unwrap()
+    }
+
+    /// A shard built fresh over `data` with ids `0..n` — what a one-shard
+    /// sharded build holds.
+    fn build(
+        data: Vec<DenseVector>,
+        spec: JoinSpec,
+        index_config: IndexConfig,
+        config: ServingConfig,
+    ) -> Result<Shard> {
+        let primary = build_index(data, spec, index_config, config.seed)?;
+        Shard::from_snapshot(Snapshot::new(primary), config)
+    }
+
+    /// Inserts under the shard's own next id, as a one-shard index allocates.
+    fn insert(shard: &mut Shard, v: DenseVector) -> Result<u64> {
+        let id = shard.next_id();
+        shard.insert_with_id(id, v)?;
+        Ok(id)
+    }
+
+    fn run_query(shard: &Shard, queries: &[DenseVector]) -> ips_core::Result<Vec<MatchPair>> {
+        JoinEngine::with_config(ShardView(shard), shard.config.engine).run(queries)
+    }
+
+    fn run_top_k(
+        shard: &Shard,
+        queries: &[DenseVector],
+        k: usize,
+    ) -> ips_core::Result<Vec<MatchPair>> {
+        JoinEngine::with_config(ShardView(shard), shard.config.engine).run_top_k(queries, k)
     }
 
     #[test]
@@ -930,53 +870,45 @@ mod tests {
             },
         ] {
             let mut serving =
-                ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
-                    .unwrap();
+                build(data.clone(), spec(), index_config, ServingConfig::default()).unwrap();
             assert_eq!(serving.family(), index_config.family());
             assert_eq!(serving.len(), 80);
             assert!(!serving.is_empty());
             assert_eq!(serving.dim(), dim);
             // Background is far below cs: no hit.
             assert!(
-                serving
-                    .query(std::slice::from_ref(&query))
+                run_query(&serving, std::slice::from_ref(&query))
                     .unwrap()
                     .is_empty(),
                 "{:?}",
                 serving.family()
             );
             // Insert a strong partner: every family must now find it.
-            let id = serving.insert(query.scaled(0.9)).unwrap();
+            let id = insert(&mut serving, query.scaled(0.9)).unwrap();
             assert_eq!(id, 80);
-            let pairs = serving.query(std::slice::from_ref(&query)).unwrap();
+            let pairs = run_query(&serving, std::slice::from_ref(&query)).unwrap();
             assert_eq!(pairs.len(), 1, "{:?}", serving.family());
             assert_eq!(pairs[0].data_index as u64, id);
             assert!(pairs[0].inner_product >= 0.7 * 0.6 - 1e-9);
             // Top-k returns it too, through the engine.
-            let top = serving
-                .query_top_k(std::slice::from_ref(&query), 3)
-                .unwrap();
+            let top = run_top_k(&serving, std::slice::from_ref(&query), 3).unwrap();
             assert!(top.iter().any(|p| p.data_index as u64 == id));
             // Delete it: back to a miss, for every family (sketch via tombstone).
             serving.delete(id).unwrap();
-            assert!(serving
-                .query(std::slice::from_ref(&query))
+            assert!(run_query(&serving, std::slice::from_ref(&query))
                 .unwrap()
                 .is_empty());
             assert!(serving.delete(id).is_err(), "double delete must fail");
             assert!(serving.delete(9999).is_err());
-            // Counters track all of it.
+            // Mutation counters track all of it (query counters tick in the
+            // sharded layer, which runs the engine).
             let stats = serving.stats();
-            assert_eq!(stats.queries, 4);
             assert_eq!(stats.inserts, 1);
             assert_eq!(stats.deletes, 1);
-            assert!(stats.hits >= 2);
-            assert!(stats.query_ns > 0);
-            assert!(stats.avg_query_ns() > 0);
             assert_eq!(serving.len(), 80);
             assert_eq!(serving.ids(), (0..80).collect::<Vec<u64>>());
             // Dimension mismatches are rejected.
-            assert!(serving.insert(DenseVector::zeros(dim + 1)).is_err());
+            assert!(insert(&mut serving, DenseVector::zeros(dim + 1)).is_err());
         }
     }
 
@@ -993,15 +925,14 @@ mod tests {
                 leaf_size: 4,
             },
         ] {
-            let mut serving =
-                ServingIndex::build(data.clone(), spec(), index_config, config).unwrap();
+            let mut serving = build(data.clone(), spec(), index_config, config).unwrap();
             // Delete some, insert some.
             for id in [3u64, 17, 42] {
                 serving.delete(id).unwrap();
             }
             let extra = vectors(0x22, 5, dim, 0.9);
             for v in extra.clone() {
-                serving.insert(v).unwrap();
+                insert(&mut serving, v).unwrap();
             }
             serving.compact().unwrap();
             // Fresh build over the same final vector sequence with the same seed.
@@ -1012,10 +943,10 @@ mod tests {
                 .map(|(_, v)| v.clone())
                 .collect();
             final_data.extend(extra);
-            let fresh = ServingIndex::build(final_data, spec(), index_config, config).unwrap();
+            let fresh = build(final_data, spec(), index_config, config).unwrap();
             let queries = vectors(0x23, 12, dim, 1.0);
-            let a = serving.query(&queries).unwrap();
-            let b = fresh.query(&queries).unwrap();
+            let a = run_query(&serving, &queries).unwrap();
+            let b = run_query(&fresh, &queries).unwrap();
             // External ids differ (the mutated index kept its originals), but the
             // answers — which vector, which inner product — are identical.
             assert_eq!(a.len(), b.len(), "{:?}", serving.family());
@@ -1038,7 +969,7 @@ mod tests {
             rebuild_threshold: 0.25,
             ..Default::default()
         };
-        let mut serving = ServingIndex::build(
+        let mut serving = build(
             data,
             spec(),
             IndexConfig::Sketch {
@@ -1053,7 +984,7 @@ mod tests {
         // crosses 25% at the 14th un-absorbed insert (14 / 54 > 0.25).
         for _ in 0..16 {
             let v = vectors(0x32, 1, dim, 0.2).pop().unwrap();
-            serving.insert(v).unwrap();
+            insert(&mut serving, v).unwrap();
         }
         assert!(
             serving.stats().rebuilds >= 1,
@@ -1081,32 +1012,28 @@ mod tests {
             },
         ] {
             let mut serving =
-                ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
-                    .unwrap();
+                build(data.clone(), spec(), index_config, ServingConfig::default()).unwrap();
             for id in serving.ids() {
                 serving.delete(id).unwrap();
             }
             assert!(serving.is_empty());
             // An empty serving state is legal to *serve* but not to *snapshot*:
-            // saving would write an unloadable (brute) or vector-resurrecting
-            // (sketch) file, so it must fail before touching the disk.
-            let path = std::env::temp_dir().join("ips-store-empty-save.snap");
-            let _ = std::fs::remove_file(&path);
-            assert!(serving.save(&path).is_err());
-            assert!(!path.exists(), "failed save must not leave a file behind");
-            assert!(serving
-                .query(std::slice::from_ref(&query))
+            // the bytes would be an unloadable (brute) or vector-resurrecting
+            // (sketch) file.
+            assert!(serving.snapshot_bytes().is_err());
+            assert!(run_query(&serving, std::slice::from_ref(&query))
                 .unwrap()
                 .is_empty());
-            assert!(serving
-                .query_top_k(std::slice::from_ref(&query), 2)
+            assert!(run_top_k(&serving, std::slice::from_ref(&query), 2)
                 .unwrap()
                 .is_empty());
             // Serving can resume: inserts keep allocating fresh ids.
-            let id = serving.insert(query.scaled(0.9)).unwrap();
+            let id = insert(&mut serving, query.scaled(0.9)).unwrap();
             assert_eq!(id, 5);
             assert_eq!(
-                serving.query(std::slice::from_ref(&query)).unwrap().len(),
+                run_query(&serving, std::slice::from_ref(&query))
+                    .unwrap()
+                    .len(),
                 1
             );
         }
@@ -1120,7 +1047,7 @@ mod tests {
             probes: Some(4),
             ..ServingConfig::default()
         };
-        let family_probes = |serving: &ServingIndex| match serving.index_config() {
+        let family_probes = |serving: &Shard| match serving.index_config() {
             IndexConfig::Alsh(p) => p.probes,
             IndexConfig::Symmetric(p) => p.probes,
             other => panic!("unexpected family {other:?}"),
@@ -1131,16 +1058,14 @@ mod tests {
         ] {
             // `probes: None` keeps the params' own value (0 for the defaults).
             let plain =
-                ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
-                    .unwrap();
+                build(data.clone(), spec(), index_config, ServingConfig::default()).unwrap();
             assert_eq!(family_probes(&plain), 0);
-            let mut probed =
-                ServingIndex::build(data.clone(), spec(), index_config, probed_config).unwrap();
+            let mut probed = build(data.clone(), spec(), index_config, probed_config).unwrap();
             assert_eq!(family_probes(&probed), 4);
             // Probing widens lookups, never loses an existing answer.
             let queries = vectors(0x62, 10, dim, 1.0);
-            let a = plain.query(&queries).unwrap();
-            let b = probed.query(&queries).unwrap();
+            let a = run_query(&plain, &queries).unwrap();
+            let b = run_query(&probed, &queries).unwrap();
             assert!(b.len() >= a.len(), "probing lost hits: {b:?} vs {a:?}");
             // The override was folded into the extracted family config, so a
             // compaction (which rebuilds from that config) keeps it.
@@ -1156,10 +1081,7 @@ mod tests {
     fn save_load_preserves_ids_and_results() {
         let dim = 10;
         let data = vectors(0x51, 50, dim, 0.9);
-        let dir = std::env::temp_dir().join("ips-store-serving-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("alsh.snap");
-        let mut serving = ServingIndex::build(
+        let mut serving = build(
             data,
             spec(),
             IndexConfig::Alsh(AlshParams::default()),
@@ -1167,20 +1089,21 @@ mod tests {
         )
         .unwrap();
         serving.delete(7).unwrap();
-        let added = serving
-            .insert(vectors(0x52, 1, dim, 0.9).pop().unwrap())
-            .unwrap();
-        let bytes = serving.save(&path).unwrap();
-        assert!(bytes > 0);
-        let reloaded = ServingIndex::open(&path, ServingConfig::default()).unwrap();
+        let added = insert(&mut serving, vectors(0x52, 1, dim, 0.9).pop().unwrap()).unwrap();
+        let bytes = serving.snapshot_bytes().unwrap();
+        assert!(!bytes.is_empty());
+        let reloaded = Shard::from_snapshot(
+            Snapshot::from_bytes(&bytes).unwrap(),
+            ServingConfig::default(),
+        )
+        .unwrap();
         assert_eq!(reloaded.len(), serving.len());
         assert_eq!(reloaded.ids(), serving.ids());
         assert!(reloaded.ids().contains(&added));
         assert!(!reloaded.ids().contains(&7));
         let queries = vectors(0x53, 10, dim, 1.0);
-        let a = serving.query(&queries).unwrap();
-        let b = reloaded.query(&queries).unwrap();
+        let a = run_query(&serving, &queries).unwrap();
+        let b = run_query(&reloaded, &queries).unwrap();
         assert_eq!(a, b, "save → load must not change a single answer");
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! A [`ShardedServingIndex`] partitions its data across `N` shards by a
 //! deterministic hash of the **external id** ([`shard_of`]); every shard is a
-//! full [`ServingIndex`] behind its own [`RwLock`], so
+//! full serving structure (stable ids, insert/delete, threshold rebuilds — see
+//! [`crate::serving`]) behind its own [`RwLock`], so
 //!
 //! * **query batches** take read locks on every shard and run through the
 //!   existing [`ips_core::JoinEngine`] (scoped worker threads, work-stealing
@@ -25,25 +26,26 @@
 //! All shards are built (and rebuilt) from the *same* [`ServingConfig::seed`].
 //! LSH function sampling depends only on the seed and the dimension — not on
 //! the data — so the sampled hash functions are **identical across shards and
-//! identical to an unsharded index built with that seed**. That is what makes
-//! the exact merge reproduce the unsharded answer bit for bit: a data point
+//! identical to a one-shard index built with that seed**. That is what makes
+//! the exact merge reproduce the one-shard answer bit for bit: a data point
 //! collides with the query in its shard's tables iff it collides in the
-//! unsharded tables, so the candidate union decomposes over the partition, and
+//! one-shard tables, so the candidate union decomposes over the partition, and
 //! merging per-shard bests (or per-shard top-`k` heaps) under the search's own
-//! comparator is the unsharded result. A *derived* per-shard seed was
+//! comparator is the one-shard result. A *derived* per-shard seed was
 //! considered and rejected: it would give every shard incomparable candidate
 //! sets and silently change answers with the shard count.
 //!
 //! Per family this yields:
 //!
-//! | family | `shards = N` vs unsharded |
+//! | family | `shards = N` vs `shards = 1` |
 //! |---|---|
 //! | brute | bit-identical (the exact maximum decomposes) |
 //! | ALSH | bit-identical (shared functions ⇒ candidate union decomposes) |
 //! | symmetric | bit-identical (two-step merge via [`ips_core::shard::merge_two_step`]) |
-//! | sketch | deterministic and valid, but the Section 4.3 recovery tree is a *global* structure (its descent compares whole-subtree estimates), so only `shards = 1` reproduces the unsharded walk; with more shards the merged answer is a different — typically better-recall — approximation |
+//! | sketch | deterministic and valid, but the Section 4.3 recovery tree is a *global* structure (its descent compares whole-subtree estimates), so only `shards = 1` walks the tree over the whole data set; with more shards the merged answer is a different — typically better-recall — approximation |
 //!
-//! All four families are bit-identical at `shards = 1`, and all four keep the
+//! At `shards = 1` every family answers exactly as its index structure does
+//! (the merge of one shard is the identity), and all four keep the
 //! serving determinism invariant: mutate + compact ≡ a fresh sharded build
 //! from the same live `(id, vector)` set (property-tested in
 //! `tests/tests/proptest_store.rs`; hammered concurrently in
@@ -51,18 +53,17 @@
 //!
 //! # Persistence
 //!
-//! [`ShardedServingIndex::save`] writes the PR-3 single-shard format
-//! ([`crate::snapshot::VERSION`]) when the index has exactly one shard — those
-//! files stay interchangeable with plain [`ServingIndex`] — and the
-//! multi-shard container ([`crate::snapshot::VERSION_SHARDED`]: one section
-//! per shard plus the global id allocator) otherwise.
-//! [`ShardedServingIndex::open`] accepts both, so every pre-existing snapshot
-//! keeps loading.
+//! [`ShardedServingIndex::save`] writes the single-shard format
+//! ([`crate::snapshot::VERSION`], the layout every one-shard snapshot has
+//! always had) when the index has exactly one shard, and the multi-shard
+//! container ([`crate::snapshot::VERSION_SHARDED`]: one section per shard plus
+//! the global id allocator) otherwise. [`ShardedServingIndex::open`] accepts
+//! both, so every pre-existing snapshot keeps loading.
 
 use crate::error::{Result, StoreError};
 use crate::format::fnv1a64;
-use crate::serving::{build_index, IndexConfig, ServingConfig, ServingIndex, ServingStats};
-use crate::serving::{Counters, ServingView};
+use crate::serving::{build_index, Counters, IndexConfig, ServingConfig, ServingStats};
+use crate::serving::{Shard, ShardView};
 use crate::snapshot::{self, IndexFamily, LoadedSnapshot, Snapshot};
 use ips_core::engine::JoinEngine;
 use ips_core::mips::{MipsIndex, SearchResult};
@@ -143,7 +144,7 @@ pub struct ShardedServingIndex {
     /// `None` = the shard currently holds no vectors (possible under hash
     /// routing with few ids, or after deleting a shard's last vector and
     /// compacting it away on save/reload).
-    shards: Vec<RwLock<Option<ServingIndex>>>,
+    shards: Vec<RwLock<Option<Shard>>>,
     next_id: AtomicU64,
     spec: JoinSpec,
     dim: usize,
@@ -251,11 +252,9 @@ impl ShardedServingIndex {
         })
     }
 
-    /// Builds one shard's [`ServingIndex`] over its routed entries (`None` when the
-    /// shard receives no vectors). Entries arrive in ascending id order.
     /// Applies the [`ServingConfig::probes`] override to a family
     /// configuration. `build_shard` applies the same override per shard
-    /// (inside [`ServingIndex::from_snapshot`]); normalising the incoming
+    /// (when it wraps the built structure); normalising the incoming
     /// configuration too keeps the publicly reported
     /// [`ShardedServingIndex::index_config`] — which also seeds the adaptive
     /// controller's planner — consistent with what the shards actually run.
@@ -270,13 +269,15 @@ impl ShardedServingIndex {
         index_config
     }
 
+    /// Builds one shard over its routed entries (`None` when the shard
+    /// receives no vectors). Entries arrive in ascending id order.
     fn build_shard(
         entries: Vec<(u64, DenseVector)>,
         next_id: u64,
         spec: JoinSpec,
         index_config: IndexConfig,
         serving: ServingConfig,
-    ) -> Result<Option<ServingIndex>> {
+    ) -> Result<Option<Shard>> {
         if entries.is_empty() {
             return Ok(None);
         }
@@ -284,7 +285,7 @@ impl ShardedServingIndex {
         let data: Vec<DenseVector> = entries.into_iter().map(|(_, v)| v).collect();
         let index = build_index(data, spec, index_config, serving.seed)?;
         let snapshot = Snapshot::with_ids(index, ids, next_id)?;
-        Ok(Some(ServingIndex::from_snapshot(snapshot, serving)?))
+        Ok(Some(Shard::from_snapshot(snapshot, serving)?))
     }
 
     fn validate_config(config: &ShardedConfig) -> Result<()> {
@@ -308,7 +309,10 @@ impl ShardedServingIndex {
     /// bit-identically, never rebuilt.
     pub fn open(path: &Path, serving: ServingConfig) -> Result<Self> {
         match snapshot::load_any(path)? {
-            LoadedSnapshot::Single(snap) => Ok(ServingIndex::from_snapshot(*snap, serving)?.into()),
+            LoadedSnapshot::Single(snap) => {
+                let next_id = snap.next_id;
+                Self::from_shard_snapshots(vec![Some(*snap)], next_id, serving)
+            }
             LoadedSnapshot::Sharded { shards, next_id } => {
                 Self::from_shard_snapshots(shards, next_id, serving)
             }
@@ -341,8 +345,14 @@ impl ShardedServingIndex {
             let shard = match snap {
                 None => None,
                 Some(snap) => {
-                    let index = ServingIndex::from_snapshot(snap, serving)?;
-                    for id in index.ids() {
+                    let index = Shard::from_snapshot(snap, serving)?;
+                    // Every id routes to the only shard of a one-shard file.
+                    let routed = if shard_count > 1 {
+                        index.ids()
+                    } else {
+                        Vec::new()
+                    };
+                    for id in routed {
                         if shard_of(id, shard_count) != j {
                             return Err(StoreError::Corrupt {
                                 context: "sharded body",
@@ -394,7 +404,11 @@ impl ShardedServingIndex {
 
     /// Compacts every shard and writes a snapshot file, returning the bytes written:
     /// the single-shard format for one shard, the multi-shard container otherwise.
-    /// Like [`ServingIndex::save`], an index with no live vectors cannot be saved.
+    ///
+    /// An index with **no live vectors cannot be saved**: the snapshot format
+    /// carries the dimension through its vectors, and the non-brute structures
+    /// cannot be rebuilt empty. The error is returned before anything is
+    /// written; insert at least one vector first.
     pub fn save(&self, path: &Path) -> Result<u64> {
         // Write locks are taken on every shard in index order (the same order the
         // readers use), so the snapshot is a consistent point-in-time cut.
@@ -564,7 +578,7 @@ impl ShardedServingIndex {
             .collect()
     }
 
-    fn per_shard<T: Default>(&self, f: impl Fn(&ServingIndex) -> T) -> Vec<(usize, T)> {
+    fn per_shard<T: Default>(&self, f: impl Fn(&Shard) -> T) -> Vec<(usize, T)> {
         self.shards
             .iter()
             .enumerate()
@@ -615,7 +629,7 @@ impl ShardedServingIndex {
     /// answers merged exactly (see the [module docs](self) for the per-family
     /// bit-identity guarantees). Results carry external ids in `data_index`.
     pub fn query(&self, queries: &[DenseVector]) -> Result<Vec<MatchPair>> {
-        self.query_with_sink(queries, &NOOP_SINK)
+        self.answer(queries, None, &NOOP_SINK)
     }
 
     /// [`ShardedServingIndex::query`] with a caller-supplied [`TraceSink`]
@@ -629,31 +643,15 @@ impl ShardedServingIndex {
         queries: &[DenseVector],
         sink: &dyn TraceSink,
     ) -> Result<Vec<MatchPair>> {
-        let fan = Fanout {
-            a: &self.telemetry,
-            b: sink,
-        };
-        let start = Instant::now();
-        let guards = self.read_all();
-        fan.stage_ns(Stage::LockWait, start.elapsed().as_nanos() as u64);
-        let before = Self::guarded_kernel_activity(&guards);
-        let engine =
-            JoinEngine::with_config(self.sink_view(&guards, &fan), self.config.serving.engine);
-        let pairs = engine.run_with_sink(queries, &fan)?;
-        let delta = Self::guarded_kernel_activity(&guards).delta_since(before);
-        self.observe_workload(&fan, queries, delta);
-        let total = start.elapsed();
-        self.telemetry.record_query_latency(total.as_nanos() as u64);
-        self.counters
-            .note_queries(queries.len(), pairs.len(), start);
-        self.slow_log("query", queries.len(), pairs.len(), total);
-        Ok(pairs)
+        self.answer(queries, None, sink)
     }
 
     /// Answers a batch of top-`k` queries (up to `k` partners per query, best first):
     /// per-shard top-`k` heaps merged exactly through [`ips_core::shard::merge_top_k`].
+    /// A sketch-family shard recovers at most one candidate per query, so fewer
+    /// than `k` partners are expected there.
     pub fn query_top_k(&self, queries: &[DenseVector], k: usize) -> Result<Vec<MatchPair>> {
-        self.query_top_k_with_sink(queries, k, &NOOP_SINK)
+        self.answer(queries, Some(k), &NOOP_SINK)
     }
 
     /// [`ShardedServingIndex::query_top_k`] with a caller-supplied
@@ -662,6 +660,19 @@ impl ShardedServingIndex {
         &self,
         queries: &[DenseVector],
         k: usize,
+        sink: &dyn TraceSink,
+    ) -> Result<Vec<MatchPair>> {
+        self.answer(queries, Some(k), sink)
+    }
+
+    /// The one query pipeline behind the four entry points above: `top_k`
+    /// `None` answers above-threshold queries, `Some(k)` top-`k` ones. Records
+    /// every stage into the aggregate telemetry and `sink`, ticks the counters
+    /// and writes the slow-query log.
+    fn answer(
+        &self,
+        queries: &[DenseVector],
+        top_k: Option<usize>,
         sink: &dyn TraceSink,
     ) -> Result<Vec<MatchPair>> {
         let fan = Fanout {
@@ -674,14 +685,26 @@ impl ShardedServingIndex {
         let before = Self::guarded_kernel_activity(&guards);
         let engine =
             JoinEngine::with_config(self.sink_view(&guards, &fan), self.config.serving.engine);
-        let pairs = engine.run_top_k_with_sink(queries, k, &fan)?;
+        let engine_start = Instant::now();
+        let pairs = match top_k {
+            None => engine.run(queries),
+            Some(k) => engine.run_top_k(queries, k),
+        };
+        fan.stage_ns(Stage::Engine, engine_start.elapsed().as_nanos() as u64);
+        fan.observe(Observable::BatchSize, queries.len() as u64);
+        let pairs = pairs?;
         let delta = Self::guarded_kernel_activity(&guards).delta_since(before);
         self.observe_workload(&fan, queries, delta);
         let total = start.elapsed();
         self.telemetry.record_query_latency(total.as_nanos() as u64);
         self.counters
             .note_queries(queries.len(), pairs.len(), start);
-        self.slow_log("query_top_k", queries.len(), pairs.len(), total);
+        let op = if top_k.is_some() {
+            "query_top_k"
+        } else {
+            "query"
+        };
+        self.slow_log(op, queries.len(), pairs.len(), total);
         Ok(pairs)
     }
 
@@ -700,9 +723,7 @@ impl ShardedServingIndex {
 
     /// Sums kernel tallies through already-held guards — re-acquiring a read
     /// lock while holding one could deadlock behind a queued writer.
-    fn guarded_kernel_activity(
-        guards: &[RwLockReadGuard<'_, Option<ServingIndex>>],
-    ) -> KernelActivity {
+    fn guarded_kernel_activity(guards: &[RwLockReadGuard<'_, Option<Shard>>]) -> KernelActivity {
         guards
             .iter()
             .filter_map(|g| g.as_ref())
@@ -952,8 +973,8 @@ impl ShardedServingIndex {
     /// after the build snapshot. Runs inside the migration's write-lock
     /// critical section; returns how many mutations were replayed.
     fn swap_shard(
-        guard: &mut RwLockWriteGuard<'_, Option<ServingIndex>>,
-        replacement: Option<ServingIndex>,
+        guard: &mut RwLockWriteGuard<'_, Option<Shard>>,
+        replacement: Option<Shard>,
         global_next: u64,
         spec: JoinSpec,
         target: IndexConfig,
@@ -1050,31 +1071,31 @@ impl ShardedServingIndex {
 
     fn read_shard<'a>(
         &self,
-        shard: &'a RwLock<Option<ServingIndex>>,
-    ) -> RwLockReadGuard<'a, Option<ServingIndex>> {
+        shard: &'a RwLock<Option<Shard>>,
+    ) -> RwLockReadGuard<'a, Option<Shard>> {
         shard.read().expect("shard lock poisoned")
     }
 
     fn write_shard<'a>(
         &self,
-        shard: &'a RwLock<Option<ServingIndex>>,
-    ) -> RwLockWriteGuard<'a, Option<ServingIndex>> {
+        shard: &'a RwLock<Option<Shard>>,
+    ) -> RwLockWriteGuard<'a, Option<Shard>> {
         shard.write().expect("shard lock poisoned")
     }
 
     /// Read guards over every shard, acquired in index order (writers that take
     /// multiple locks use the same order, so lock acquisition cannot cycle).
-    fn read_all(&self) -> Vec<RwLockReadGuard<'_, Option<ServingIndex>>> {
+    fn read_all(&self) -> Vec<RwLockReadGuard<'_, Option<Shard>>> {
         self.shards.iter().map(|s| self.read_shard(s)).collect()
     }
 
-    fn write_all(&self) -> Vec<RwLockWriteGuard<'_, Option<ServingIndex>>> {
+    fn write_all(&self) -> Vec<RwLockWriteGuard<'_, Option<Shard>>> {
         self.shards.iter().map(|s| self.write_shard(s)).collect()
     }
 
     fn sink_view<'a>(
         &self,
-        guards: &'a [RwLockReadGuard<'_, Option<ServingIndex>>],
+        guards: &'a [RwLockReadGuard<'_, Option<Shard>>],
         sink: &'a dyn TraceSink,
     ) -> ShardedView<'a> {
         ShardedView {
@@ -1086,38 +1107,11 @@ impl ShardedServingIndex {
     }
 }
 
-/// A one-shard sharded index is exactly a [`ServingIndex`] plus the (trivial)
-/// merge layer — the conversion the registry and builder use so unsharded and
-/// sharded serving share one routing surface.
-impl From<ServingIndex> for ShardedServingIndex {
-    fn from(index: ServingIndex) -> Self {
-        Self {
-            next_id: AtomicU64::new(index.next_id()),
-            spec: index.spec(),
-            dim: index.dim(),
-            index_config: RwLock::new(index.index_config()),
-            config: ShardedConfig {
-                shards: 1,
-                serving: index.serving_config(),
-            },
-            // Query/hit/latency history carries over (queries tick at this layer
-            // from now on); mutation counters keep living in the wrapped shard.
-            counters: Counters::with_query_history(&index.stats()),
-            telemetry: Telemetry::new(),
-            migrations: Counter::new(),
-            drift_milli: Gauge::new(),
-            stats_window: Mutex::new(HistogramSnapshot::empty()),
-            shards: vec![RwLock::new(Some(index))],
-        }
-    }
-}
-
 /// A borrow of every (non-empty) shard that speaks [`MipsIndex`] /
 /// [`TopKMipsIndex`] with external ids, merging per-shard answers exactly — the
-/// adapter [`ShardedServingIndex::query`] feeds to the [`JoinEngine`], mirroring
-/// what [`ServingView`] is to a single [`ServingIndex`].
+/// adapter [`ShardedServingIndex::query`] feeds to the [`JoinEngine`].
 pub struct ShardedView<'a> {
-    shards: Vec<&'a ServingIndex>,
+    shards: Vec<&'a Shard>,
     spec: JoinSpec,
     family: IndexFamily,
     /// Receives per-query merge timings; engine workers record concurrently,
@@ -1151,7 +1145,7 @@ impl MipsIndex for ShardedView<'_> {
         }
         let mut hits = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            hits.extend(ServingView(shard).search(query)?);
+            hits.extend(ShardView(shard).search(query)?);
         }
         let start = Instant::now();
         let merged = merge_best(&self.spec, hits);
@@ -1165,7 +1159,7 @@ impl TopKMipsIndex for ShardedView<'_> {
     fn search_top_k(&self, query: &DenseVector, k: usize) -> ips_core::Result<Vec<SearchResult>> {
         let mut lists = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            lists.push(ServingView(shard).search_top_k(query, k)?);
+            lists.push(ShardView(shard).search_top_k(query, k)?);
         }
         let start = Instant::now();
         let merged = merge_top_k(&self.spec, lists, k);
@@ -1210,6 +1204,33 @@ mod tests {
         JoinSpec::new(0.7, 0.6, JoinVariant::Signed).unwrap()
     }
 
+    /// One shard over `data` (ids `0..n`) under the default serving config.
+    fn lone_shard(data: Vec<DenseVector>, index_config: IndexConfig) -> Shard {
+        let next_id = data.len() as u64;
+        let entries = (0..next_id).zip(data).collect();
+        ShardedServingIndex::build_shard(
+            entries,
+            next_id,
+            spec(),
+            index_config,
+            ServingConfig::default(),
+        )
+        .unwrap()
+        .expect("non-empty data builds a shard")
+    }
+
+    /// A shard's answers straight through the engine, with no merge layer:
+    /// the reference every shard count must reproduce.
+    fn shard_query(shard: &Shard, queries: &[DenseVector]) -> Vec<MatchPair> {
+        JoinEngine::new(ShardView(shard)).run(queries).unwrap()
+    }
+
+    fn shard_top_k(shard: &Shard, queries: &[DenseVector], k: usize) -> Vec<MatchPair> {
+        JoinEngine::new(ShardView(shard))
+            .run_top_k(queries, k)
+            .unwrap()
+    }
+
     fn families() -> Vec<IndexConfig> {
         vec![
             IndexConfig::Brute,
@@ -1232,11 +1253,9 @@ mod tests {
             IndexConfig::Alsh(AlshParams::default()),
             IndexConfig::Symmetric(SymmetricParams::default()),
         ] {
-            let unsharded =
-                ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
-                    .unwrap();
-            let expected = unsharded.query(&queries).unwrap();
-            let expected_top = unsharded.query_top_k(&queries, 3).unwrap();
+            let unsharded = lone_shard(data.clone(), index_config);
+            let expected = shard_query(&unsharded, &queries);
+            let expected_top = shard_top_k(&unsharded, &queries, 3);
             for shards in [1usize, 2, 3, 5] {
                 let sharded = ShardedServingIndex::build(
                     data.clone(),
@@ -1269,9 +1288,7 @@ mod tests {
             config: MaxIpConfig::default(),
             leaf_size: 4,
         };
-        let unsharded =
-            ServingIndex::build(data.clone(), spec(), index_config, ServingConfig::default())
-                .unwrap();
+        let unsharded = lone_shard(data.clone(), index_config);
         let one = ShardedServingIndex::build(
             data.clone(),
             spec(),
@@ -1281,7 +1298,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             one.query(&queries).unwrap(),
-            unsharded.query(&queries).unwrap()
+            shard_query(&unsharded, &queries)
         );
         // Multi-shard sketch: a different (per-shard) walk, but deterministic and
         // valid — two identical builds agree bit for bit, every answer clears cs.
@@ -1380,12 +1397,13 @@ mod tests {
                 sharded.query(&queries).unwrap(),
                 "save → load must not change a single answer (shards={shards})"
             );
-            // The single-shard layout stays interchangeable with ServingIndex.
+            // One shard writes the single-shard layout; more shards write the
+            // multi-shard container, which the single-shard decoder refuses.
             if shards == 1 {
-                let plain = ServingIndex::open(&path, ServingConfig::default()).unwrap();
-                assert_eq!(plain.len(), sharded.len());
+                let plain = Snapshot::load(&path).unwrap();
+                assert_eq!(plain.ids.len(), sharded.len());
             } else {
-                let err = match ServingIndex::open(&path, ServingConfig::default()) {
+                let err = match Snapshot::load(&path) {
                     Err(e) => e,
                     Ok(_) => panic!("a multi-shard file must not load as single-shard"),
                 };
@@ -1597,34 +1615,5 @@ mod tests {
         assert_eq!(sharded.query_latency_window().count, 2);
         // The lifetime histogram is untouched by windowing.
         assert_eq!(sharded.telemetry().query_latency().snapshot().count, 3);
-    }
-
-    #[test]
-    fn one_shard_conversion_preserves_behaviour() {
-        let dim = 6;
-        let data = vectors(0xCA, 20, dim, 0.9);
-        let queries = vectors(0xCB, 5, dim, 1.0);
-        let mut plain = ServingIndex::build(
-            data.clone(),
-            spec(),
-            IndexConfig::Brute,
-            ServingConfig::default(),
-        )
-        .unwrap();
-        plain.delete(0).unwrap();
-        plain.insert(queries[0].scaled(0.5)).unwrap();
-        let expected = plain.query(&queries).unwrap();
-        let history = plain.stats();
-        let wrapped: ShardedServingIndex = plain.into();
-        assert_eq!(wrapped.shard_count(), 1);
-        // Wrapping a warm index keeps its whole counter history...
-        assert_eq!(wrapped.stats(), history);
-        // ...and its answers.
-        assert_eq!(wrapped.query(&queries).unwrap(), expected);
-        let id = wrapped.insert(queries[0].scaled(0.9)).unwrap();
-        assert_eq!(id, 21);
-        let after = wrapped.stats();
-        assert_eq!(after.inserts, history.inserts + 1);
-        assert_eq!(after.queries, history.queries + queries.len() as u64);
     }
 }

@@ -30,7 +30,7 @@
 //! — plus a [`SECTION_NEXT_ID`] carrying the sharded layer's global id allocator.
 //! Version-1 files keep loading unchanged ([`from_bytes_any`] accepts both layouts);
 //! a one-shard index still *writes* version 1, so its files remain interchangeable
-//! with plain [`crate::ServingIndex`] snapshots.
+//! with every single-shard snapshot written before the multi-shard layout existed.
 //!
 //! The payloads are written by the [`crate::persist::Persist`] impls — little-endian,
 //! floats as IEEE-754 bit patterns, hash tables in sorted bucket order — so a
@@ -242,8 +242,8 @@ impl TopKMipsIndex for AnyIndex {
 /// A persistable unit: an [`AnyIndex`] plus the serving layer's external-id state.
 ///
 /// `ids[slot]` is the stable external id the serving layer hands to clients for the
-/// vector in that slot; `next_id` is the next id [`crate::ServingIndex::insert`]
-/// will allocate. A snapshot fresh from `ips build` numbers ids `0..n`.
+/// vector in that slot; `next_id` is the next id the serving layer will allocate.
+/// A snapshot fresh from `ips build` numbers ids `0..n`.
 pub struct Snapshot {
     /// The index structure.
     pub index: AnyIndex,

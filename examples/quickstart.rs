@@ -125,17 +125,19 @@ fn main() {
     section("6. persist and serve (the ips build → ips query flow)");
     // The Index builder is the persistent sibling of the Join builder: build
     // once, snapshot to disk, reopen and serve arbitrarily many batches.
-    let mut built = Index::build(instance.data().to_vec())
+    let built = Index::build(instance.data().to_vec())
         .spec(spec)
         .strategy(Strategy::Alsh)
         .seed(42)
-        .serve()
+        .serve_sharded()
         .expect("index builds");
     let dir = std::env::temp_dir().join("ips-quickstart");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let snapshot = dir.join("quickstart.snap");
     let bytes = built.save(&snapshot).expect("snapshot saves");
-    let serving = Index::open(&snapshot).serve().expect("snapshot reopens");
+    let serving = Index::open(&snapshot)
+        .serve_sharded()
+        .expect("snapshot reopens");
     let served = serving.query(instance.queries()).expect("batch serves");
     println!(
         "saved {} snapshot ({bytes} bytes), reopened with {} live vectors; \

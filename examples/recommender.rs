@@ -106,8 +106,7 @@ fn main() {
 
     section("the batch join");
     let exact = brute_force_join(model.items(), model.users(), &spec).expect("join runs");
-    // The engine borrows the prebuilt index — the builder-era spelling of the
-    // legacy `index_join(&alsh, users)` shim.
+    // The engine borrows the prebuilt index, so the join reuses it as is.
     let approx = JoinEngine::new(&alsh)
         .run(model.users())
         .expect("join runs");

@@ -101,12 +101,10 @@ fn core_facade_report_fields_are_pinned() {
 
 #[test]
 fn store_facade_surface_is_pinned() {
-    // Both entry points end in the same terminal.
+    // Both entry points end in the same terminal: the sharded serving index,
+    // the one serving type (one shard by default).
     let _build: fn(Vec<DenseVector>) -> IndexBuilder = Index::build;
     let _open: fn(std::path::PathBuf) -> IndexBuilder = Index::open::<std::path::PathBuf>;
-    let _serve: fn(IndexBuilder) -> ips_store::Result<ips_store::ServingIndex> =
-        IndexBuilder::serve;
-    // ...and the sharded terminal alongside it (PR 5).
     let _serve_sharded: fn(IndexBuilder) -> ips_store::Result<ips_store::ShardedServingIndex> =
         IndexBuilder::serve_sharded;
     // ...and the coalescing terminal behind the TCP front-end (PR 7).
@@ -162,9 +160,10 @@ fn builder_setters_are_pinned() {
         .adaptive(false)
         .drift_check_secs(5)
         .seed(1)
-        .serve()
+        .serve_sharded()
         .unwrap();
     assert_eq!(serving.len(), 1);
+    assert_eq!(serving.shard_count(), 1);
     // The shards setter routes to the sharded terminal.
     let sharded = Index::build(vec![DenseVector::from(&[0.9, 0.0][..])])
         .spec(ips_core::JoinSpec::new(0.5, 0.8, ips_core::JoinVariant::Signed).unwrap())

@@ -8,7 +8,7 @@
 //!
 //! * the **serial** answer of the same [`ShardedServingIndex`] asked the same
 //!   single vector with no concurrency at all, and
-//! * the plain unsharded [`ServingIndex`] under the same seed — for every
+//! * a one-shard [`ShardedServingIndex`] under the same seed — for every
 //!   shard count for the candidate-decomposable families (brute / ALSH /
 //!   symmetric), and at one shard for sketch (whose recovery tree is global;
 //!   multi-shard sketch answers are a different deterministic approximation,
@@ -24,8 +24,7 @@ use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{
-    CoalesceConfig, Coalescer, IndexConfig, ServingConfig, ServingIndex, ShardedConfig,
-    ShardedServingIndex,
+    CoalesceConfig, Coalescer, IndexConfig, ServingConfig, ShardedConfig, ShardedServingIndex,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -128,7 +127,13 @@ proptest! {
                 "family {:?}: storms did not coalesce", index_config
             );
 
-            let unsharded = ServingIndex::build(data.clone(), spec, index_config, serving).unwrap();
+            let unsharded = ShardedServingIndex::build(
+                data.clone(),
+                spec,
+                index_config,
+                ShardedConfig { shards: 1, serving },
+            )
+            .unwrap();
             let decomposable = !matches!(index_config, IndexConfig::Sketch { .. }) || shards == 1;
             for (i, q) in queries.iter().enumerate() {
                 let single = std::slice::from_ref(q);

@@ -2,16 +2,15 @@
 //! must produce *valid* output under Definition 1 (no reported pair below `cs`), and
 //! the exact algorithms must agree with each other on arbitrary inputs.
 //!
-//! The legacy free functions exercised here (`alsh_join`, …) are thin shims over
-//! the fluent `ips_core::facade::JoinBuilder`; `proptest_facade.rs` pins the shim
-//! ≡ builder bit-identity, so validity proved against the shim covers the builder
-//! path and vice versa.
+//! The approximate joins run through the fluent `ips_core::facade::JoinBuilder`,
+//! whose fixed strategies `proptest_planner.rs` pins bit-identical to the engine
+//! constructors, so validity proved here covers both paths.
 
 use ips_core::algebraic::algebraic_exact_join;
 use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
 use ips_core::brute::{brute_force_join, brute_force_join_parallel};
 use ips_core::engine::{EngineConfig, JoinEngine};
-use ips_core::join::alsh_join;
+use ips_core::facade::{Join, Strategy as JoinStrategy};
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SearchResult};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant};
 use ips_linalg::DenseVector;
@@ -75,18 +74,18 @@ proptest! {
             .map(|_| ips_linalg::random::random_unit_vector(&mut rng, dim).unwrap())
             .collect();
         let spec = JoinSpec::new(s, c, JoinVariant::Signed).unwrap();
-        let pairs = alsh_join(
-            &mut rng,
-            &data,
-            &queries,
-            spec,
-            AlshParams {
+        let pairs = Join::data(&data)
+            .queries(&queries)
+            .spec(spec)
+            .strategy(JoinStrategy::Alsh)
+            .alsh_params(AlshParams {
                 bits_per_table: 4,
                 tables: 8,
                 ..Default::default()
-            },
-        )
-        .unwrap();
+            })
+            .run_with_rng(&mut rng)
+            .unwrap()
+            .matches;
         let (_, valid) = evaluate_join(&data, &queries, &spec, &pairs).unwrap();
         prop_assert!(valid, "ALSH reported a pair below cs");
     }

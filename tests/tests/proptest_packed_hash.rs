@@ -20,7 +20,8 @@
 //!    whose sphere transforms disagree.
 //! 4. **Old snapshots still answer** — a snapshot written before packed
 //!    hashing existed (`tests/fixtures/pre_packed/`) loads and returns the
-//!    candidate sets and search answers recorded from the code that wrote it.
+//!    candidate sets and search answers recorded from the code that wrote it,
+//!    both as a bare snapshot and served through `Index::open`.
 
 use ips_core::mips::MipsIndex;
 use ips_linalg::random::{random_ball_vector, random_unit_vector};
@@ -34,7 +35,7 @@ use ips_lsh::table::{IndexParams, LshIndex};
 use ips_lsh::traits::{
     AsymmetricHashFunction, AsymmetricLshFamily, SymmetricAsAsymmetric, SymmetricFunctionPair,
 };
-use ips_store::{AnyIndex, Snapshot};
+use ips_store::{AnyIndex, Index, Snapshot};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -392,7 +393,9 @@ fn from_raw_parts_rejects_disagreeing_sphere_transforms() {
 /// then `ips build … s=0.5 c=0.5 algorithm=alsh seed=3 bits=8 tables=16`.
 /// `expected.txt` records, from that same code, every query's
 /// `probe_lookup` candidates for probes 0, 1, 4 and 8, and its `search`
-/// answer with the inner product's bits.
+/// answer with the inner product's bits. The file is read twice: as a bare
+/// snapshot, and through the serving open path (`Index::open(..)
+/// .serve_sharded()`), whose batched `query` must give the `search` answers.
 #[test]
 fn snapshot_from_before_packed_hashing_answers_identically() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/pre_packed");
@@ -425,5 +428,28 @@ fn snapshot_from_before_packed_hashing_answers_identically() {
         .unwrap();
     }
     let expected = std::fs::read_to_string(dir.join("expected.txt")).unwrap();
+    assert_eq!(got, expected);
+
+    let served = Index::open(dir.join("alsh.snap")).serve_sharded().unwrap();
+    assert_eq!(served.shard_count(), 1, "a v1 file opens as one shard");
+    let pairs = served.query(&queries).unwrap();
+    let mut got = String::new();
+    for i in 0..queries.len() {
+        match pairs.iter().find(|p| p.query_index == i) {
+            Some(p) => writeln!(
+                got,
+                "query {i} search {} {:016x}",
+                p.data_index,
+                p.inner_product.to_bits()
+            ),
+            None => writeln!(got, "query {i} search none"),
+        }
+        .unwrap();
+    }
+    let expected: String = expected
+        .lines()
+        .filter(|line| line.contains(" search "))
+        .map(|line| format!("{line}\n"))
+        .collect();
     assert_eq!(got, expected);
 }

@@ -1,17 +1,19 @@
 //! Property tests for the cost-based join planner.
 //!
-//! The load-bearing property: `auto_join` is *pure dispatch*. Whatever
-//! strategy the planner selects, executing the plan must produce exactly the
-//! pairs the corresponding manual entry point produces with the same
-//! parameters and RNG state — the planner may only choose, never change, a
-//! join's semantics. A second property pins that plans are deterministic
-//! functions of the sampled statistics, and a third that *every* strategy a
-//! plan could dispatch to stays valid under Definition 1.
+//! The load-bearing property: `Strategy::Auto` is *pure dispatch*. Whatever
+//! strategy the planner selects, the join must produce exactly the pairs the
+//! corresponding engine constructor produces with the same parameters and RNG
+//! state — the planner may only choose, never change, a join's semantics. A
+//! second property pins that *every* strategy a plan could dispatch to stays
+//! valid under Definition 1 and that the builder's fixed strategies, the
+//! plan's dispatch and the engine constructors agree bit for bit; a third
+//! pins that plans are deterministic functions of the sampled statistics.
 
 use ips_core::brute::BorrowedBruteIndex;
 use ips_core::engine::JoinEngine;
+use ips_core::facade::Join;
 use ips_core::join::{alsh_engine, sketch_engine, symmetric_engine};
-use ips_core::planner::{JoinPlanner, Strategy};
+use ips_core::planner::{JoinPlan, JoinPlanner, Strategy};
 use ips_core::problem::{evaluate_join, JoinSpec, JoinVariant, MatchPair};
 use ips_linalg::DenseVector;
 use proptest::prelude::*;
@@ -36,38 +38,45 @@ fn workload(seed: u64, n: usize, m: usize, dim: usize) -> (Vec<DenseVector>, Vec
     (data, queries)
 }
 
-/// Runs `strategy` through the *manual* entry point with the plan's resolved
+/// Runs `strategy` through its engine constructor with the plan's resolved
 /// parameters — the call a user would have written by hand.
 fn manual_run(
-    plan: &ips_core::planner::JoinPlan,
+    plan: &JoinPlan,
     strategy: Strategy,
-    exec_seed: u64,
+    rng: &mut StdRng,
     data: &[DenseVector],
     queries: &[DenseVector],
 ) -> Vec<MatchPair> {
-    let mut rng = StdRng::seed_from_u64(exec_seed);
     match strategy {
         Strategy::BruteForce => {
             JoinEngine::with_config(BorrowedBruteIndex::new(data, plan.spec), plan.engine)
                 .run(queries)
                 .unwrap()
         }
-        Strategy::Alsh => alsh_engine(&mut rng, data, plan.spec, plan.alsh_params, plan.engine)
-            .unwrap()
-            .run(queries)
-            .unwrap(),
+        Strategy::Alsh => alsh_engine(
+            rng,
+            data,
+            plan.spec,
+            plan.alsh_params,
+            plan.engine,
+            plan.scoring,
+        )
+        .unwrap()
+        .run(queries)
+        .unwrap(),
         Strategy::Symmetric => symmetric_engine(
-            &mut rng,
+            rng,
             data,
             plan.spec,
             plan.symmetric_params,
             plan.engine,
+            plan.scoring,
         )
         .unwrap()
         .run(queries)
         .unwrap(),
         Strategy::Sketch => sketch_engine(
-            &mut rng,
+            rng,
             data,
             plan.spec,
             plan.sketch_config,
@@ -80,15 +89,40 @@ fn manual_run(
     }
 }
 
+/// Runs `strategy` as a fixed-strategy builder join with the plan's resolved
+/// parameters, seeded with `seed`.
+fn builder_run(
+    plan: &JoinPlan,
+    strategy: Strategy,
+    seed: u64,
+    data: &[DenseVector],
+    queries: &[DenseVector],
+) -> Vec<MatchPair> {
+    Join::data(data)
+        .queries(queries)
+        .spec(plan.spec)
+        .strategy(strategy.into())
+        .alsh_params(plan.alsh_params)
+        .symmetric_params(plan.symmetric_params)
+        .sketch_config(plan.sketch_config)
+        .sketch_leaf_size(plan.sketch_leaf_size)
+        .engine(plan.engine)
+        .scoring(plan.scoring)
+        .seed(seed)
+        .run()
+        .unwrap()
+        .matches
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // auto_join ≡ the manual call of whichever strategy it selected.
+    // Strategy::Auto ≡ planning, then the engine constructor of whichever
+    // strategy was selected, drawing from the same RNG.
     #[test]
     fn auto_join_matches_the_selected_strategy_exactly(
         data_seed in any::<u64>(),
-        plan_seed in any::<u64>(),
-        exec_seed in any::<u64>(),
+        seed in any::<u64>(),
         s in 0.05f64..0.5,
         c in 0.3f64..0.95,
         signed in any::<bool>(),
@@ -96,15 +130,21 @@ proptest! {
         let (data, queries) = workload(data_seed, 60, 12, 6);
         let variant = if signed { JoinVariant::Signed } else { JoinVariant::Unsigned };
         let spec = JoinSpec::new(s, c, variant).unwrap();
-        let planner = JoinPlanner::default();
-        let plan = planner
-            .plan(&mut StdRng::seed_from_u64(plan_seed), &data, &queries, spec)
+        let auto = Join::data(&data)
+            .queries(&queries)
+            .spec(spec)
+            .strategy(ips_core::Strategy::Auto)
+            .seed(seed)
+            .run()
             .unwrap();
-        let auto = plan
-            .execute(&mut StdRng::seed_from_u64(exec_seed), &data, &queries)
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = JoinPlanner::default()
+            .plan(&mut rng, &data, &queries, spec)
             .unwrap();
-        let manual = manual_run(&plan, plan.choice, exec_seed, &data, &queries);
-        prop_assert_eq!(auto, manual, "choice = {}", plan.choice);
+        prop_assert_eq!(auto.plan.as_ref(), Some(&plan));
+        prop_assert_eq!(auto.strategy, plan.choice);
+        let manual = manual_run(&plan, plan.choice, &mut rng, &data, &queries);
+        prop_assert_eq!(auto.matches, manual, "choice = {}", plan.choice);
     }
 
     // Every strategy a plan could dispatch to — not just the chosen one —
@@ -133,6 +173,18 @@ proptest! {
                 .unwrap();
             let (_, valid) = evaluate_join(&data, &queries, &spec, &pairs).unwrap();
             prop_assert!(valid, "{} reported a pair below cs", estimate.strategy);
+            // The plan's dispatch, the builder's fixed strategy and the engine
+            // constructor are one code path: same seed, same pairs.
+            let manual = manual_run(
+                &plan,
+                estimate.strategy,
+                &mut StdRng::seed_from_u64(exec_seed),
+                &data,
+                &queries,
+            );
+            prop_assert_eq!(&pairs, &manual, "{} dispatch vs constructor", estimate.strategy);
+            let built = builder_run(&plan, estimate.strategy, exec_seed, &data, &queries);
+            prop_assert_eq!(&pairs, &built, "{} dispatch vs builder", estimate.strategy);
         }
     }
 

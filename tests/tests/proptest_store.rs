@@ -7,16 +7,17 @@
 //!    bit-identically to the in-memory original, and re-encoding the loaded snapshot
 //!    reproduces the same bytes (the encoding is deterministic, which is what the
 //!    checksum protects).
-//! 2. **Insert/delete equivalence**: a serving index after an arbitrary mutation
+//! 2. **Insert/delete equivalence**: a one-shard serving index after an arbitrary mutation
 //!    sequence answers queries exactly like an index built fresh from the final
 //!    vector set with the same seed — same inner products (to the bit), same vectors.
 //!    External ids differ (the mutated index keeps its originals), so answers are
 //!    compared through the vectors they name.
-//! 3. **Sharding is invisible** (the PR-5 exact-merge contract): under one seed, a
+//! 3. **Sharding is invisible** (the exact-merge contract): under one seed, a
 //!    `ShardedServingIndex` answers above-threshold and top-`k` queries
-//!    bit-identically to the unsharded `ServingIndex` — for every shard count for
-//!    the candidate-decomposable families (brute / ALSH / symmetric, whose per-shard
-//!    candidate sets partition the unsharded ones when the hash functions are
+//!    bit-identically to the bare index structure built over the whole data set
+//!    and run through the `JoinEngine` — for every shard count for the
+//!    candidate-decomposable families (brute / ALSH / symmetric, whose per-shard
+//!    candidate sets partition the whole-data ones when the hash functions are
 //!    shared), and at one shard for all four families including sketch (whose
 //!    recovery tree is a global structure: with more shards the merged answer is a
 //!    different, deterministic approximation — pinned separately).
@@ -25,6 +26,7 @@
 //!    `(id, vector)` set, and a multi-shard sketch index is build-deterministic.
 
 use ips_core::asymmetric::{AlshMipsIndex, AlshParams};
+use ips_core::engine::JoinEngine;
 use ips_core::mips::{BruteForceMipsIndex, MipsIndex, SketchMipsAdapter};
 use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_core::symmetric::{SymmetricLshMips, SymmetricParams};
@@ -32,8 +34,7 @@ use ips_linalg::random::random_ball_vector;
 use ips_linalg::DenseVector;
 use ips_sketch::linf_mips::MaxIpConfig;
 use ips_store::{
-    AnyIndex, IndexConfig, ServingConfig, ServingIndex, ShardedConfig, ShardedServingIndex,
-    Snapshot,
+    AnyIndex, IndexConfig, ServingConfig, ShardedConfig, ShardedServingIndex, Snapshot,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -84,6 +85,46 @@ fn build_families(seed: u64, data: &[DenseVector], spec: JoinSpec) -> Vec<AnyInd
             SketchMipsAdapter::build(&mut rng, data.to_vec(), spec, small_sketch(), 4).unwrap(),
         ),
     ]
+}
+
+/// The bare index structure a serving build of `index_config` over `data`
+/// wraps: built with an RNG seeded from `seed`, ids `0..n` equal to slots.
+fn bare_index(
+    index_config: IndexConfig,
+    data: &[DenseVector],
+    spec: JoinSpec,
+    seed: u64,
+) -> AnyIndex {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let data = data.to_vec();
+    match index_config {
+        IndexConfig::Brute => AnyIndex::Brute(BruteForceMipsIndex::new(data, spec)),
+        IndexConfig::Alsh(params) => {
+            AnyIndex::Alsh(AlshMipsIndex::build(&mut rng, data, spec, params).unwrap())
+        }
+        IndexConfig::Symmetric(params) => {
+            AnyIndex::Symmetric(SymmetricLshMips::build(&mut rng, data, spec, params).unwrap())
+        }
+        IndexConfig::Sketch { config, leaf_size } => AnyIndex::Sketch(
+            SketchMipsAdapter::build(&mut rng, data, spec, config, leaf_size).unwrap(),
+        ),
+    }
+}
+
+/// A one-shard serving index (the default layout of a fresh build).
+fn one_shard(
+    data: Vec<DenseVector>,
+    spec: JoinSpec,
+    index_config: IndexConfig,
+    serving: ServingConfig,
+) -> ShardedServingIndex {
+    ShardedServingIndex::build(
+        data,
+        spec,
+        index_config,
+        ShardedConfig { shards: 1, serving },
+    )
+    .unwrap()
 }
 
 proptest! {
@@ -147,8 +188,7 @@ proptest! {
             IndexConfig::Symmetric(small_symmetric()),
             IndexConfig::Sketch { config: small_sketch(), leaf_size: 4 },
         ] {
-            let mut serving =
-                ServingIndex::build(data.clone(), spec, index_config, config).unwrap();
+            let serving = one_shard(data.clone(), spec, index_config, config);
             // Track the live vector sequence (in external-id order) alongside.
             let mut live: Vec<(u64, DenseVector)> =
                 data.iter().cloned().enumerate().map(|(i, v)| (i as u64, v)).collect();
@@ -168,8 +208,7 @@ proptest! {
             prop_assert_eq!(serving.len(), live.len());
             let final_vectors: Vec<DenseVector> =
                 live.iter().map(|(_, v)| v.clone()).collect();
-            let fresh =
-                ServingIndex::build(final_vectors, spec, index_config, config).unwrap();
+            let fresh = one_shard(final_vectors, spec, index_config, config);
             let a = serving.query(&queries).unwrap();
             let b = fresh.query(&queries).unwrap();
             prop_assert_eq!(a.len(), b.len(), "family {:?}", serving.family());
@@ -193,8 +232,8 @@ proptest! {
     }
 
     // Property 3: sharding is invisible under one seed — above-threshold and top-k
-    // answers of the sharded index are bit-identical to the unsharded one (MatchPair
-    // equality compares the f64 exactly): at every shard count for the
+    // answers of the sharded index are bit-identical to the bare structure's
+    // (MatchPair equality compares the f64 exactly): at every shard count for the
     // candidate-decomposable families, at one shard for all four; a multi-shard
     // sketch index is pinned to determinism + validity (its recovery tree is a
     // global structure, so N > 1 walks differently by design).
@@ -216,10 +255,12 @@ proptest! {
             IndexConfig::Symmetric(small_symmetric()),
             IndexConfig::Sketch { config: small_sketch(), leaf_size: 4 },
         ] {
-            let unsharded =
-                ServingIndex::build(data.clone(), spec, index_config, serving).unwrap();
-            let expected = unsharded.query(&queries).unwrap();
-            let expected_top = unsharded.query_top_k(&queries, k).unwrap();
+            let bare = JoinEngine::with_config(
+                bare_index(index_config, &data, spec, serving.seed),
+                serving.engine,
+            );
+            let expected = bare.run(&queries).unwrap();
+            let expected_top = bare.run_top_k(&queries, k).unwrap();
             let one = ShardedServingIndex::build(
                 data.clone(), spec, index_config, ShardedConfig { shards: 1, serving },
             ).unwrap();

@@ -7,9 +7,11 @@ use ips_core::problem::{JoinSpec, JoinVariant};
 use ips_core::topk::{top_k_join, top_k_recall, TopKMipsIndex};
 use ips_datagen::latent::{LatentFactorConfig, LatentFactorModel};
 use ips_linalg::random::{correlated_unit_pair, random_unit_vector};
-use ips_lsh::multiprobe::{MultiProbeIndex, MultiProbeParams};
+use ips_lsh::hyperplane::HyperplaneFamily;
 use ips_lsh::sign_alsh::{SignAlshFamily, SignAlshParams};
+use ips_lsh::table::{IndexParams, LshIndex};
 use ips_lsh::traits::{AsymmetricHashFunction, AsymmetricLshFamily};
+use ips_lsh::SymmetricAsAsymmetric;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -122,20 +124,15 @@ fn multiprobe_trades_probes_for_tables() {
     for (j, q) in queries.iter().enumerate() {
         data[j * 16] = q.scaled(0.98);
     }
-    let index = MultiProbeIndex::build(
-        &mut rng,
-        &data,
-        MultiProbeParams {
-            bits: 12,
-            tables: 6,
-        },
-    )
-    .unwrap();
-    let recall_at = |probes: usize| -> f64 {
+    // Six tables of 12-bit SimHash keys, queried with `total` buckets per table:
+    // the home bucket plus `total - 1` query-directed probes.
+    let family = SymmetricAsAsymmetric(HyperplaneFamily::single_bit(dim).unwrap());
+    let index = LshIndex::build(&family, IndexParams { k: 12, l: 6 }, &data, &mut rng).unwrap();
+    let recall_at = |total: usize| -> f64 {
         let mut hit = 0usize;
         for (j, q) in queries.iter().enumerate() {
             if index
-                .query_candidates(q, probes)
+                .probe_lookup(q, total - 1)
                 .unwrap()
                 .contains(&(j * 16))
             {
